@@ -4,7 +4,7 @@
 //! until a scene happens to trigger it.
 //!
 //! The analyzer tokenizes every `.rs` file (it never executes or expands
-//! anything) and checks six project-specific rules that clippy cannot
+//! anything) and checks seven project-specific rules that clippy cannot
 //! express:
 //!
 //! | rule | hazard |
@@ -15,6 +15,7 @@
 //! | D004 | narrowing `as` casts in the serialization/format modules |
 //! | D005 | wall clock (`Instant::now`/`SystemTime`) or `thread::spawn` outside `gs-bench` and the `WorkerPool` internals |
 //! | D006 | float accumulation in reduction loops outside the blessed blend kernels (docs/DETERMINISM.md) |
+//! | D007 | `unsafe` in non-test library code outside `gs-render/src/pool.rs` (route disjoint parallel writes through `WorkerPool::run_split`) |
 //!
 //! A violation can be suppressed only by an inline
 //! `// gs-lint: allow(D00x) <reason>` comment on the same line or the
@@ -362,7 +363,7 @@ fn lex_quoted(chars: &[char], i: usize, mut line: u32) -> (usize, u32) {
 /// One rule violation at a source location.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id: `D001`..`D006`, or `A000` for a bad allow directive.
+    /// Rule id: `D001`..`D007`, or `A000` for a bad allow directive.
     pub rule: &'static str,
     pub path: String,
     pub line: u32,
@@ -397,6 +398,7 @@ impl LintReport {
             ("D004", 0),
             ("D005", 0),
             ("D006", 0),
+            ("D007", 0),
             ("A000", 0),
         ]
         .into_iter()
@@ -456,7 +458,7 @@ struct Allow {
     justified: bool,
 }
 
-const RULE_IDS: [&str; 6] = ["D001", "D002", "D003", "D004", "D005", "D006"];
+const RULE_IDS: [&str; 7] = ["D001", "D002", "D003", "D004", "D005", "D006", "D007"];
 
 /// Parses `gs-lint: allow(D00x) <reason>` directives out of the comment
 /// list. Malformed directives and unknown rule ids become `A000`
@@ -720,7 +722,7 @@ fn fn_spans(toks: &[Tok], comments: &[Comment]) -> Vec<FnSpan> {
 }
 
 // ---------------------------------------------------------------------------
-// Rules D001 / D002 / D004 / D005 / D006 (per-file)
+// Rules D001 / D002 / D004 / D005 / D006 / D007 (per-file)
 // ---------------------------------------------------------------------------
 
 const D001_CRATES: [&str; 5] = ["gs-render", "gs-voxel", "gs-mem", "gs-serve", "streaminggs"];
@@ -949,6 +951,25 @@ fn rule_d005(scope: &Scope, toks: &[Tok], tests: &[(usize, usize)], out: &mut Ve
                 line: toks[i].line,
                 msg: "`thread::spawn` outside the WorkerPool — route parallelism through \
                       the pool so worker count stays a rendering-invariant"
+                    .into(),
+            });
+        }
+    }
+}
+
+fn rule_d007(scope: &Scope, toks: &[Tok], tests: &[(usize, usize)], out: &mut Vec<Violation>) {
+    if scope.is_test || scope.rel.ends_with("gs-render/src/pool.rs") {
+        return;
+    }
+    for (i, t) in toks.iter().enumerate() {
+        if is_ident(t, "unsafe") && !in_ranges(i, tests) {
+            out.push(Violation {
+                rule: "D007",
+                path: scope.rel.clone(),
+                line: t.line,
+                msg: "`unsafe` outside the WorkerPool — hand each job its own `&mut` windows \
+                      with `WorkerPool::run_split` instead of rebuilding slices from raw \
+                      pointers"
                     .into(),
             });
         }
@@ -1439,6 +1460,7 @@ impl Analyzer {
         rule_d004(&scope, &toks, &tests, &mut self.pending);
         rule_d005(&scope, &toks, &tests, &mut self.pending);
         rule_d006(&scope, &toks, &tests, &fns, &mut self.pending);
+        rule_d007(&scope, &toks, &tests, &mut self.pending);
         self.locks
             .extend(collect_locks(&scope, &toks, &fns, &tests));
     }

@@ -463,6 +463,69 @@ pub fn mse(xs: &[f32]) -> f32 {
     assert_eq!(r.allows_used, 1);
 }
 
+// ------------------------------------------------------------------ D007
+
+const D007_HIT: &str = r#"
+pub fn write(buf: &mut [u32], i: usize) {
+    let p = buf.as_mut_ptr();
+    unsafe { *p.add(i) = 1 };
+}
+"#;
+
+#[test]
+fn d007_flags_unsafe_in_library_code() {
+    for path in [
+        "crates/gs-voxel/src/streaming.rs",
+        "crates/gs-render/src/renderer.rs",
+        "crates/gs-serve/src/lib.rs",
+        "src/lib.rs",
+    ] {
+        let r = lint_one(path, D007_HIT);
+        assert_eq!(rules(&r), vec!["D007"], "{path}: {:?}", r.violations);
+    }
+    // `unsafe impl` / `unsafe fn` count too.
+    let src = "pub struct P(*mut u8);\nunsafe impl Send for P {}\npub unsafe fn f() {}\n";
+    let r = lint_one("crates/gs-mem/src/fake.rs", src);
+    assert_eq!(rules(&r), vec!["D007", "D007"], "{:?}", r.violations);
+}
+
+#[test]
+fn d007_exempts_the_pool_tests_and_strings() {
+    for path in [
+        "crates/gs-render/src/pool.rs",
+        "crates/gs-voxel/tests/alloc_free_streaming.rs",
+        "crates/gs-bench/benches/fake.rs",
+    ] {
+        let r = lint_one(path, D007_HIT);
+        assert!(rules(&r).is_empty(), "{path}: {:?}", r.violations);
+    }
+    let src = r#"
+/// Never `unsafe` here.
+pub const WORD: &str = "unsafe";
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn raw() { let mut x = 0u8; let p = &mut x as *mut u8; unsafe { *p = 1 }; }
+}
+"#;
+    let r = lint_one("crates/gs-voxel/src/fake.rs", src);
+    assert!(rules(&r).is_empty(), "{:?}", r.violations);
+}
+
+#[test]
+fn d007_justified_allow_suppresses() {
+    let src = r#"
+pub fn write(buf: &mut [u32], i: usize) {
+    let p = buf.as_mut_ptr();
+    // gs-lint: allow(D007) `i` is bounds-checked by the caller
+    unsafe { *p.add(i) = 1 };
+}
+"#;
+    let r = lint_one("crates/gs-render/src/binning.rs", src);
+    assert!(rules(&r).is_empty(), "{:?}", r.violations);
+    assert_eq!(r.allows_used, 1);
+}
+
 // ------------------------------------------------ allow directives / A000
 
 #[test]

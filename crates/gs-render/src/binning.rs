@@ -28,7 +28,7 @@
 //! After step 4 the key array equals the serial result byte for byte, which
 //! is what lets `tests/exactness.rs` hold with the parallel front-end on.
 
-use crate::pool::WorkerPool;
+use crate::pool::{split, WorkerPool};
 use crate::projection::Splat;
 
 /// One sort record: key = `tile_id << 32 | depth_bits`, payload = splat index.
@@ -195,17 +195,13 @@ pub fn bin_and_sort_parallel(
     scratch.cursors.clear();
     scratch.cursors.resize(chunks * n_tiles, 0);
 
-    // Phase 1 (parallel): per-chunk tile histograms.
-    let cur_base = scratch.cursors.as_mut_ptr() as usize;
-    pool.run(chunks, |c| {
-        // SAFETY: histogram stripe `c` is unique per job index; the scratch
-        // outlives `pool.run`, which blocks until every job finished.
-        let hist = unsafe {
-            std::slice::from_raw_parts_mut((cur_base as *mut u32).add(c * n_tiles), n_tiles)
-        };
-        let lo = (c * chunk).min(splats.len());
-        let hi = ((c + 1) * chunk).min(splats.len());
-        for s in &splats[lo..hi] {
+    // Phase 1 (parallel): per-chunk tile histograms, one cursor stripe
+    // per chunk.
+    let splats_of =
+        |c: usize| &splats[(c * chunk).min(splats.len())..((c + 1) * chunk).min(splats.len())];
+    let stripe = |c: usize| c * n_tiles..(c + 1) * n_tiles;
+    pool.run_split(chunks, split(&mut scratch.cursors, stripe), |c, hist| {
+        for s in splats_of(c) {
             let (x0, y0, x1, y1) = s.tile_rect;
             debug_assert!(x1 < tiles_x && y1 < tiles_y, "tile_rect outside grid");
             for ty in y0..=y1 {
@@ -239,23 +235,17 @@ pub fn bin_and_sort_parallel(
         *range = (start, acc);
     }
 
-    // Phase 3 (parallel): scatter into the disjoint cursor windows.
+    // Phase 3 (parallel): scatter into the disjoint cursor windows. A
+    // chunk's (chunk, tile) windows interleave with every other chunk's,
+    // so the key writes cannot be cut into per-job slices: they go through
+    // a raw pointer (never a `&mut` to the whole buffer), and the prefix
+    // sum above makes every window pairwise disjoint.
     keys.clear();
     keys.resize(total as usize, TileKey { key: 0, splat: 0 });
     let keys_base = keys.as_mut_ptr() as usize;
-    pool.run(chunks, |c| {
-        // SAFETY: cursor stripe `c` is unique per job; key writes go
-        // through the raw pointer (never overlapping `&mut` slices of the
-        // whole buffer) and every (chunk, tile) cursor window the prefix
-        // sum carved out is pairwise disjoint, so no slot is written twice.
-        // Both buffers outlive `pool.run`, which blocks until all jobs end.
-        let cursors = unsafe {
-            std::slice::from_raw_parts_mut((cur_base as *mut u32).add(c * n_tiles), n_tiles)
-        };
-        let keys = keys_base as *mut TileKey;
+    pool.run_split(chunks, split(&mut scratch.cursors, stripe), |c, cursors| {
         let lo = (c * chunk).min(splats.len());
-        let hi = ((c + 1) * chunk).min(splats.len());
-        for (si, s) in splats[lo..hi].iter().enumerate() {
+        for (si, s) in splats_of(c).iter().enumerate() {
             let (x0, y0, x1, y1) = s.tile_rect;
             let d = depth_bits(s.depth) as u64;
             for ty in y0..=y1 {
@@ -264,36 +254,34 @@ pub fn bin_and_sort_parallel(
                     let tile = (row + tx) as usize;
                     let slot = cursors[tile] as usize;
                     cursors[tile] += 1;
-                    debug_assert!(slot < total as usize);
-                    // SAFETY: `slot` lies in this job's disjoint window.
-                    unsafe {
-                        *keys.add(slot) = TileKey {
-                            key: ((tile as u64) << 32) | d,
-                            splat: (lo + si) as u32,
-                        };
-                    }
+                    assert!(slot < total as usize, "scatter cursor past the key buffer");
+                    let key = TileKey {
+                        key: ((tile as u64) << 32) | d,
+                        splat: (lo + si) as u32,
+                    };
+                    // gs-lint: allow(D007) in bounds, and in this chunk's own cursor window
+                    unsafe { *(keys_base as *mut TileKey).add(slot) = key };
                 }
             }
         }
     });
 
-    // Phase 4 (parallel): per-tile depth sorts over contiguous tile chunks.
-    // Sorting by the total (key, splat) order normalizes the scatter layout,
-    // finishing the bit-identity with the serial path.
+    // Phase 4 (parallel): per-tile depth sorts over contiguous tile chunks,
+    // each owning the key window of its tiles' runs. Sorting by the total
+    // (key, splat) order normalizes the scatter layout, finishing the
+    // bit-identity with the serial path.
     let tchunk = n_tiles.div_ceil(chunks);
     let ranges_ro = &ranges[..];
-    pool.run(chunks, |c| {
-        let tlo = (c * tchunk).min(n_tiles);
-        let thi = ((c + 1) * tchunk).min(n_tiles);
-        for &(start, end) in &ranges_ro[tlo..thi] {
-            // SAFETY: tile runs are disjoint, and the tiles of job `c` are
-            // disjoint from every other job's tiles.
-            let run = unsafe {
-                std::slice::from_raw_parts_mut(
-                    (keys_base as *mut TileKey).add(start as usize),
-                    (end - start) as usize,
-                )
-            };
+    let tiles = |c: usize| (c * tchunk).min(n_tiles)..((c + 1) * tchunk).min(n_tiles);
+    let key_at = |t: usize| ranges_ro.get(t).map_or(total as usize, |r| r.0 as usize);
+    let key_window = |c: usize| {
+        let t = tiles(c);
+        key_at(t.start)..key_at(t.end)
+    };
+    pool.run_split(chunks, split(keys, key_window), |c, window| {
+        let base = key_at(tiles(c).start);
+        for &(start, end) in &ranges_ro[tiles(c)] {
+            let run = &mut window[start as usize - base..end as usize - base];
             if run.len() > 1 {
                 run.sort_unstable_by_key(|k| (k.key, k.splat));
             }

@@ -9,7 +9,7 @@
 
 use crate::arena::{FrameArena, TILE_PIXELS};
 use crate::binning::{bin_and_sort_into, bin_and_sort_parallel};
-use crate::pool::WorkerPool;
+use crate::pool::{per_job, resolve_threads, split, WorkerPool};
 use crate::projection::{project_splats_into, project_splats_parallel, tile_grid};
 use crate::rasterize::rasterize_tile;
 use crate::stats::RenderStats;
@@ -47,17 +47,6 @@ impl Default for RenderConfig {
 /// tile sorts) cost more than the parallelism recovers, and the serial path
 /// is bit-identical anyway.
 const PARALLEL_FRONT_END_MIN_SPLATS: usize = 1024;
-
-/// Resolves a `threads` config value (0 = all cores) to a concrete count.
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
 
 /// A rendered frame plus its functional workload statistics.
 #[derive(Clone, Debug)]
@@ -183,20 +172,24 @@ impl TileRenderer {
             );
         }
 
-        // Stage 3: per-tile rasterization (parallel over tile chunks).
+        // Stage 3: per-tile rasterization. Chunk c rasterizes the tiles
+        // `tiles(c)` into its windows of the pixel/outcome buffers with
+        // scratch slot c.
         let threads = workers.min(n_tiles.max(1));
         arena.ensure_tiles(n_tiles, threads);
         let chunk = n_tiles.div_ceil(threads.max(1));
+        let tiles = |c: usize| (c * chunk).min(n_tiles)..((c + 1) * chunk).min(n_tiles);
         let splats = &arena.splats[..];
         let keys = &arena.keys[..];
         let ranges = &arena.ranges[..];
-
-        if threads <= 1 || n_tiles <= 1 {
-            let scratch = &mut arena.scratch[0];
-            #[allow(clippy::needless_range_loop)]
-            for t in 0..n_tiles {
-                let buf = &mut arena.tile_pixels[t * TILE_PIXELS..(t + 1) * TILE_PIXELS];
-                arena.outcomes[t] = rasterize_tile(
+        let parts = (
+            per_job(&mut arena.scratch),
+            split(arena.tile_pixels.as_chunks_mut::<TILE_PIXELS>().0, tiles),
+            split(&mut arena.outcomes, tiles),
+        );
+        WorkerPool::run_split_in(pool, threads, parts, |c, (scratch, pixels, outcomes)| {
+            for ((t, buf), outcome) in tiles(c).zip(pixels).zip(outcomes) {
+                *outcome = rasterize_tile(
                     splats,
                     keys,
                     ranges[t],
@@ -208,55 +201,7 @@ impl TileRenderer {
                     buf,
                 );
             }
-        } else {
-            // Chunk c rasterizes tiles [c·chunk, (c+1)·chunk): every chunk
-            // touches disjoint ranges of the pixel/outcome/scratch buffers,
-            // reconstructed from raw base pointers inside the job closure
-            // (a `Fn(usize)` cannot hand out pre-split `&mut` slices).
-            let px_base = arena.tile_pixels.as_mut_ptr() as usize;
-            let oc_base = arena.outcomes.as_mut_ptr() as usize;
-            let sc_base = arena.scratch.as_mut_ptr() as usize;
-            let pool = WorkerPool::ensure(pool, threads);
-            pool.run(threads, |c| {
-                let lo = c * chunk;
-                let hi = ((c + 1) * chunk).min(n_tiles);
-                if lo >= hi {
-                    return;
-                }
-                // SAFETY: tile ranges [lo, hi) are disjoint across chunk
-                // indices, and scratch slot `c` is unique per job; the
-                // arena outlives `pool.run`, which blocks until all jobs
-                // finish.
-                let pixels = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        (px_base as *mut Vec3).add(lo * TILE_PIXELS),
-                        (hi - lo) * TILE_PIXELS,
-                    )
-                };
-                let outcomes = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        (oc_base as *mut crate::rasterize::TileOutcome).add(lo),
-                        hi - lo,
-                    )
-                };
-                let scratch =
-                    unsafe { &mut *(sc_base as *mut crate::rasterize::TileScratch).add(c) };
-                for t in lo..hi {
-                    let buf = &mut pixels[(t - lo) * TILE_PIXELS..(t - lo + 1) * TILE_PIXELS];
-                    outcomes[t - lo] = rasterize_tile(
-                        splats,
-                        keys,
-                        ranges[t],
-                        tile_origin(t, tiles_x),
-                        width,
-                        height,
-                        background,
-                        scratch,
-                        buf,
-                    );
-                }
-            });
-        }
+        });
 
         // Composite tiles and fold stats (serial, deterministic order).
         let mut image = ImageRgb::new(width, height);

@@ -42,7 +42,7 @@
 //!    requests were interleaved across sessions.
 //!
 //! `tests/serving_determinism.rs` pins the contract on raw + VQ stores,
-//! resident + paged backings, worker counts {1, 2, 0} and shuffled
+//! resident + paged backings, worker counts {1, 2, 3, 0} and shuffled
 //! interleavings. Error surfacing is deterministic too: when sessions
 //! fail in the same drain, [`FrameScheduler::drain`] reports the failure
 //! of the lowest-indexed failing session (and within a session, its
@@ -51,7 +51,7 @@
 //! See `docs/SERVING.md` for the session model and shard lifecycle.
 
 use gs_core::camera::Camera;
-use gs_render::pool::WorkerPool;
+use gs_render::pool::{resolve_threads, split, WorkerPool};
 use gs_voxel::{QualityPolicy, StoreError, StreamingOutput, StreamingScene};
 
 /// Everything that can go wrong in the serving layer.
@@ -404,28 +404,17 @@ impl FrameScheduler {
         self.active
             .extend((0..sessions.len()).filter(|&s| !self.plan[s].is_empty()));
 
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
+        let threads = resolve_threads(self.threads);
         let pool = WorkerPool::ensure(&mut self.pool, threads.min(self.active.len()));
-        // Jobs get disjoint `&mut ClientSession`s through a shared base
-        // pointer: `active` holds strictly ascending (hence unique)
-        // in-range indices, so job i's session is touched by job i alone.
-        let base = sessions.as_mut_ptr() as usize;
+        // Job i owns session `active[i]`: `active` is strictly ascending,
+        // so the one-session windows are disjoint.
         let plan = &self.plan;
         let active = &self.active;
-        pool.run(active.len(), |i| {
-            let session = active[i];
-            // SAFETY: see above — indices are unique and in range, and
-            // the sessions slice outlives `run` (it blocks until every
-            // job finished).
-            let slot = unsafe { &mut *(base as *mut ClientSession).add(session) };
-            slot.render_batch(&plan[session]);
-        });
+        pool.run_split(
+            active.len(),
+            split(sessions, |i| active[i]..active[i] + 1),
+            |i, slot| slot[0].render_batch(&plan[active[i]]),
+        );
         for &session in &self.active {
             self.plan[session].clear();
         }

@@ -110,7 +110,7 @@ fn assert_scheduled_matches_solo(label: &str, cfg: StreamingConfig, page: Option
         ("shuffle-a", shuffled_word(0x5EED_CAFE)),
         ("shuffle-b", shuffled_word(0xD00D_F00D)),
     ];
-    for threads in [1usize, 2, 0] {
+    for threads in [1usize, 2, 3, 0] {
         for (word_name, word) in &words {
             for drain_per_round in [false, true] {
                 let mut shard = SceneShard::new("t", prepared.clone());

@@ -20,12 +20,12 @@
 //!   `u64` bitset words, so the "any live pixel?" test is
 //!   `mask & !done != 0` per word and stride dilation is a precomputed
 //!   per-pixel span table ([`MaskScratch`]) instead of a stride² loop;
-//! * when the frame has fewer pixel groups than worker threads, each
-//!   group's DDA ray grid is split across the shared
-//!   [`gs_render::pool::WorkerPool`] (rays are independent; the CSR/order
-//!   inputs are merged in deterministic ray order), so output stays
-//!   **bit-identical** for any worker count — the same determinism
-//!   contract as the parallel front-end in `gs_render`.
+//! * the group list is cut into contiguous chunks, one per worker, which
+//!   write disjoint windows of the frame arena through
+//!   [`WorkerPool::run_split`]; per-chunk ledgers, traces and violation
+//!   lists merge in chunk order, so output stays **bit-identical** for any
+//!   worker count — the same determinism contract as the parallel
+//!   front-end in `gs_render`.
 //!
 //! The pre-CSR loop (hash-map voxel→pixels, `Vec<bool>` masks, float
 //! pixel walk) soaked for a release as `render_reference_loop` and has
@@ -63,7 +63,7 @@ use gs_core::vec::{Vec2, Vec3};
 use gs_mem::cache::{CacheConfig, CacheReport, WorkingSetCache};
 use gs_mem::dram::{round_to_burst, DEFAULT_BURST_BYTES};
 use gs_mem::{Direction, Stage, TrafficLedger, MAX_TIERS};
-use gs_render::pool::WorkerPool;
+use gs_render::pool::{per_job, resolve_threads, split, WorkerPool};
 use gs_render::{ALPHA_EPS, ALPHA_MAX, TRANSMITTANCE_EPS};
 use gs_scene::{Gaussian, GaussianCloud};
 use gs_vq::{GaussianQuantizer, QuantizedCloud, TierSpec, VqConfig};
@@ -928,26 +928,9 @@ impl StreamingScene {
         let groups_y = height.div_ceil(gsz);
         let n_groups = (groups_x * groups_y) as usize;
 
-        let threads = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.threads
-        };
-        // When the frame has fewer groups than workers, group-level
-        // chunking cannot fill the machine — flip to intra-group ray
-        // parallelism instead: groups run serially (in deterministic group
-        // order) and each group's DDA ray grid fans out across the pool.
-        // Both modes are bit-identical for any thread count, so the
-        // crossover is purely a scheduling choice.
-        let ray_parallel = threads > 1 && n_groups < threads;
-        let chunks = if ray_parallel {
-            1
-        } else {
-            threads.min(n_groups).max(1)
-        };
+        let chunks = resolve_threads(self.config.threads).min(n_groups).max(1);
         let chunk = n_groups.div_ceil(chunks);
+        let groups_of = |c: usize| (c * chunk).min(n_groups)..((c + 1) * chunk).min(n_groups);
 
         let mut guard = lock_unpoisoned(&self.scratch);
         let StreamScratch {
@@ -959,6 +942,7 @@ impl StreamingScene {
             cache,
             tier_map,
             prev_tiers,
+            budget_order,
         } = &mut *guard;
         pixels.resize(n_groups * gp, Vec3::ZERO);
         workloads.resize(n_groups, TileWorkload::default());
@@ -978,127 +962,48 @@ impl StreamingScene {
             && self.store.tier_count() > 0
             && self.config.quality != QualityPolicy::FullQuality;
         let tmap: Option<&[u8]> = if use_tiers {
-            self.fill_tier_map(cam, tier_map, prev_tiers);
+            self.fill_tier_map(cam, tier_map, prev_tiers, budget_order);
             Some(tier_map.as_slice())
         } else {
             None
         };
 
-        if chunks <= 1 {
-            let group_scratch = &mut groups[0];
-            group_scratch.violating.clear();
-            group_scratch.ledger.clear();
-            group_scratch.trace.clear();
-            group_scratch.degradation = DegradationReport::default();
-            group_scratch.error = None;
-            let mut ray_pool = if ray_parallel {
-                Some(WorkerPool::ensure(pool, threads))
-            } else {
-                None
-            };
-            for t in 0..n_groups {
-                let gx = t as u32 % groups_x;
-                let gy = t as u32 / groups_x;
-                let buf = &mut pixels[t * gp..(t + 1) * gp];
-                let (w, vb) = self.render_group_into(
-                    cam,
-                    gx,
-                    gy,
-                    width,
-                    height,
-                    path,
-                    kernels,
-                    tmap,
-                    group_scratch,
-                    buf,
-                    ray_pool.as_deref_mut(),
+        // Chunk c renders the groups `groups_of(c)` into its windows of the
+        // pixel/workload/vblend buffers with scratch slot c.
+        let px = |c: usize| {
+            let g = groups_of(c);
+            g.start * gp..g.end * gp
+        };
+        let parts = (
+            per_job(groups),
+            split(pixels, px),
+            split(workloads, groups_of),
+            split(vblends, groups_of),
+        );
+        WorkerPool::run_split_in(pool, chunks, parts, |c, (scratch, pixels, wls, vbs)| {
+            scratch.violating.clear();
+            scratch.ledger.clear();
+            scratch.trace.clear();
+            scratch.degradation = DegradationReport::default();
+            scratch.error = None;
+            let bufs = pixels.chunks_exact_mut(gp);
+            for (((t, buf), w), vb) in groups_of(c).zip(bufs).zip(wls).zip(vbs) {
+                let (gx, gy) = (t as u32 % groups_x, t as u32 / groups_x);
+                (*w, *vb) = self.render_group_into(
+                    cam, gx, gy, width, height, path, kernels, tmap, scratch, buf,
                 );
-                workloads[t] = w;
-                vblends[t] = vb;
-                if group_scratch.error.is_some() {
-                    break; // fail-fast: the frame is aborted below
+                if scratch.error.is_some() {
+                    return; // fail-fast: the frame is aborted below
                 }
             }
-        } else {
-            // Chunk c renders groups [c·chunk, (c+1)·chunk): disjoint slices
-            // of the pixel/workload/vblend buffers, reconstructed from raw
-            // base pointers inside the `Fn(usize)` job (which cannot be
-            // handed pre-split `&mut` slices).
-            let px_base = pixels.as_mut_ptr() as usize;
-            let wl_base = workloads.as_mut_ptr() as usize;
-            let vb_base = vblends.as_mut_ptr() as usize;
-            let gs_base = groups.as_mut_ptr() as usize;
-            let pool = WorkerPool::ensure(pool, chunks);
-            pool.run(chunks, |c| {
-                let lo = c * chunk;
-                let hi = ((c + 1) * chunk).min(n_groups);
-                // SAFETY: group ranges [lo, hi) are disjoint across chunk
-                // indices and scratch slot `c` is unique per job; the
-                // buffers outlive `pool.run`, which blocks until all jobs
-                // finish.
-                let group_scratch = unsafe { &mut *(gs_base as *mut GroupScratch).add(c) };
-                group_scratch.violating.clear();
-                group_scratch.ledger.clear();
-                group_scratch.trace.clear();
-                group_scratch.degradation = DegradationReport::default();
-                group_scratch.error = None;
-                if lo >= hi {
-                    return;
-                }
-                let pixels = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        (px_base as *mut Vec3).add(lo * gp),
-                        (hi - lo) * gp,
-                    )
-                };
-                let workloads = unsafe {
-                    std::slice::from_raw_parts_mut((wl_base as *mut TileWorkload).add(lo), hi - lo)
-                };
-                let vblends = unsafe {
-                    std::slice::from_raw_parts_mut((vb_base as *mut u64).add(lo), hi - lo)
-                };
-                for t in lo..hi {
-                    let gx = t as u32 % groups_x;
-                    let gy = t as u32 / groups_x;
-                    let buf = &mut pixels[(t - lo) * gp..(t - lo + 1) * gp];
-                    let (w, vb) = self.render_group_into(
-                        cam,
-                        gx,
-                        gy,
-                        width,
-                        height,
-                        path,
-                        kernels,
-                        tmap,
-                        group_scratch,
-                        buf,
-                        None,
-                    );
-                    workloads[t - lo] = w;
-                    vblends[t - lo] = vb;
-                    if group_scratch.error.is_some() {
-                        return; // fail-fast: the frame is aborted below
-                    }
-                }
-            });
-        }
+        });
 
         // A failed group aborts the frame *before* the assembly and cache
         // replay — the cache model never advances on an abandoned frame.
-        // The globally-first failing group wins (chunks cover contiguous
-        // increasing group ranges, so the per-chunk first error with the
-        // smallest group index is the error the serial walk would hit),
-        // keeping the surfaced error identical for any worker count.
-        let mut first_err: Option<(usize, StoreError)> = None;
-        for chunk_scratch in groups[..chunks].iter_mut() {
-            if let Some((gi, e)) = chunk_scratch.error.take() {
-                match &first_err {
-                    Some((best, _)) if *best <= gi => {}
-                    _ => first_err = Some((gi, e)),
-                }
-            }
-        }
-        if let Some((_, e)) = first_err {
+        // Chunk windows ascend in group order and each chunk stops at its
+        // first failure, so the first failing chunk holds the error the
+        // serial walk would hit: identical for any worker count.
+        if let Some(e) = groups[..chunks].iter_mut().find_map(|g| g.error.take()) {
             return Err(e);
         }
 
@@ -1286,7 +1191,13 @@ impl StreamingScene {
     /// plus, for [`QualityPolicy::Hysteresis`], the previous frame's map
     /// (`prev`, private to this scene/session), which keeps the result
     /// thread-invariant and solo-identical under shared-store serving.
-    fn fill_tier_map(&self, cam: &Camera, map: &mut Vec<u8>, prev: &mut Vec<u8>) {
+    fn fill_tier_map(
+        &self,
+        cam: &Camera,
+        map: &mut Vec<u8>,
+        prev: &mut Vec<u8>,
+        order: &mut Vec<u32>,
+    ) {
         // gs-lint: allow(D004) tier count < MAX_TIERS
         let n_tiers = self.store.tier_count() as u8;
         let nv = self.grid.voxel_count();
@@ -1349,7 +1260,8 @@ impl StreamingScene {
                 // id breaks ties), each taking the finest tier whose
                 // whole-voxel fine cost still fits.
                 // gs-lint: allow(D004) voxel count fits u32 (grid ids are u32)
-                let mut order: Vec<u32> = (0..nv as u32).collect();
+                order.clear();
+                order.extend(0..nv as u32);
                 order.sort_unstable_by(|&a, &b| {
                     footprint(b)
                         .total_cmp(&footprint(a))
@@ -1365,7 +1277,7 @@ impl StreamingScene {
                     }
                 };
                 let mut remaining = bytes;
-                for &v in &order {
+                for &v in order.iter() {
                     let chosen = (0..=n_tiers)
                         .find(|&t| cost(v, t) <= remaining)
                         .unwrap_or(n_tiers);
@@ -1383,10 +1295,9 @@ impl StreamingScene {
     /// ledger's deltas over this group) and its out-of-order blend count;
     /// violating Gaussian ids are appended to `scratch.violating`.
     ///
-    /// When `pool` is given, the DDA ray grid fans out across its workers
-    /// in contiguous ray-index chunks; the CSR and ordering inputs walk
-    /// the chunks in deterministic ray order, so the result is
-    /// bit-identical to the serial walk for any worker or chunk count.
+    /// Runs on one thread: the frame's parallelism is across groups (see
+    /// `render_frame`), so a group's result never depends on the worker
+    /// count.
     #[allow(clippy::too_many_arguments)]
     fn render_group_into(
         &self,
@@ -1400,14 +1311,13 @@ impl StreamingScene {
         tier_map: Option<&[u8]>,
         scratch: &mut GroupScratch,
         pixels: &mut [Vec3],
-        pool: Option<&mut WorkerPool>,
     ) -> (TileWorkload, u64) {
         let gsz = self.config.group_size;
         let rect = TileRect::of_tile(gx, gy, gsz, width, height);
         let mut w = TileWorkload::default();
         let mut violating_blends = 0u64;
         let GroupScratch {
-            ray_chunks,
+            rays,
             csr,
             order,
             order_out,
@@ -1421,9 +1331,6 @@ impl StreamingScene {
             degradation,
             error,
         } = scratch;
-        // Global index of this group, for deterministic first-error
-        // selection across worker chunks.
-        let group_index = (gy * width.div_ceil(gsz) + gx) as usize;
         // With a cache configured, coarse/fine fetches are recorded in the
         // trace and their DRAM/hit accounting happens in the frame-end
         // replay; without one, each fetch is its own burst-rounded DRAM
@@ -1453,18 +1360,6 @@ impl StreamingScene {
         let nx = (px1 - px0).div_ceil(stride);
         let ny = (py1 - py0).div_ceil(stride);
         let n_rays = nx as usize * ny as usize;
-        // DDA over the ray grid: serial into chunk 0, or fanned out over
-        // the pool in contiguous ray-index chunks (rays are independent;
-        // everything downstream walks the chunks in ray order, so the
-        // split is invisible to the output).
-        let ray_jobs = pool
-            .as_ref()
-            .map_or(1, |p| p.size().clamp(1, n_rays.max(1)));
-        if ray_chunks.len() < ray_jobs {
-            ray_chunks.resize_with(ray_jobs, RayChunk::default);
-        }
-        let per = n_rays.div_ceil(ray_jobs);
-        let grid = &self.grid;
         // Kernel selection is a per-group fn-pointer / branch, not a code
         // path split: everything around the two kernels is shared, which
         // is what makes the production/reference comparison meaningful.
@@ -1472,46 +1367,25 @@ impl StreamingScene {
             PayloadKernels::Production => traverse_append,
             PayloadKernels::Reference => crate::dda::reference::traverse_append,
         };
-        let fill = |chunk: &mut RayChunk, j: usize| {
-            let r0 = (j * per).min(n_rays);
-            let r1 = ((j + 1) * per).min(n_rays);
-            chunk.base = r0 as u32;
-            chunk.voxels.clear();
-            chunk.ends.clear();
-            chunk.steps = 0;
-            for r in r0..r1 {
-                let px = px0 + (r as u32 % nx) * stride;
-                let py = py0 + (r as u32 / nx) * stride;
-                let ray = cam.pixel_ray(px as f32 + 0.5, py as f32 + 0.5);
-                chunk.steps += dda(grid, &ray, max_steps, &mut chunk.voxels) as u64;
-                chunk.ends.push(chunk.voxels.len() as u32);
-            }
-        };
-        match pool {
-            Some(pool) if ray_jobs > 1 => {
-                let base = ray_chunks.as_mut_ptr() as usize;
-                pool.run(ray_jobs, |j| {
-                    // SAFETY: chunk slot `j` is written by exactly one job,
-                    // and `ray_chunks` outlives `pool.run`, which blocks
-                    // until every job finished.
-                    let chunk = unsafe { &mut *(base as *mut RayChunk).add(j) };
-                    fill(chunk, j);
-                });
-            }
-            _ => fill(&mut ray_chunks[0], 0),
+        rays.voxels.clear();
+        rays.ends.clear();
+        rays.steps = 0;
+        for r in 0..n_rays as u32 {
+            let px = px0 + (r % nx) * stride;
+            let py = py0 + (r / nx) * stride;
+            let ray = cam.pixel_ray(px as f32 + 0.5, py as f32 + 0.5);
+            rays.steps += dda(&self.grid, &ray, max_steps, &mut rays.voxels) as u64;
+            rays.ends.push(rays.voxels.len() as u32);
         }
-        let chunks_live = &ray_chunks[..ray_jobs];
         w.rays = n_rays as u32;
-        for c in chunks_live {
-            w.dda_steps += c.steps;
-        }
+        w.dda_steps = rays.steps;
 
         // voxel → pixel lists as a counting-sort CSR over epoch-remapped
         // dense voxel ids (replaces the seed's per-group hash map).
-        csr.build(chunks_live, nx, stride, gsz);
+        csr.build(std::slice::from_ref(rays), nx, stride, gsz);
 
         let order_stats = topological_order_into(
-            chunks_live.iter().flat_map(|c| c.ray_slices()),
+            rays.ray_slices(),
             |v| cam.world_to_camera(self.grid.voxel_center(v)).z,
             order,
             order_out,
@@ -1567,7 +1441,7 @@ impl StreamingScene {
                                 continue;
                             }
                             if error.is_none() {
-                                *error = Some((group_index, e));
+                                *error = Some(e);
                             }
                             break;
                         }
@@ -1654,7 +1528,7 @@ impl StreamingScene {
                             Err(e) => {
                                 if !self.config.degrade_on_fault {
                                     if error.is_none() {
-                                        *error = Some((group_index, e));
+                                        *error = Some(e);
                                     }
                                     abort = true;
                                     break;
@@ -1731,7 +1605,7 @@ impl StreamingScene {
                         Err(e) => {
                             if !self.config.degrade_on_fault {
                                 if error.is_none() {
-                                    *error = Some((group_index, e));
+                                    *error = Some(e);
                                 }
                                 abort = true;
                                 break;
@@ -1839,6 +1713,9 @@ struct StreamScratch {
     /// own frame sequence. Empty before the first tiered frame and after
     /// [`StreamingScene::set_quality`].
     prev_tiers: Vec<u8>,
+    /// [`QualityPolicy::ByteBudget`]'s voxel claim order (reused across
+    /// frames so the pre-pass allocates nothing).
+    budget_order: Vec<u32>,
 }
 
 /// One working-set cache per cached pipeline stage.
@@ -1872,9 +1749,8 @@ enum TraceOp {
 /// Reusable per-chunk working buffers for [`StreamingScene::render`].
 #[derive(Debug, Default)]
 struct GroupScratch {
-    /// Flat per-job DDA ray chunks (slot 0 serves the serial path); each
-    /// holds its rays' voxel lists back to back.
-    ray_chunks: Vec<RayChunk>,
+    /// The current group's DDA ray lists, back to back in ray order.
+    rays: RayChunk,
     /// voxel → pixel-list CSR over epoch-remapped dense voxel ids
     /// (replaces the seed's `HashMap<u32, Vec<u32>>` + spare-list pool).
     csr: VoxelPixelCsr,
@@ -1904,16 +1780,15 @@ struct GroupScratch {
     /// This worker's per-voxel degradation counters, summed into the
     /// frame's [`DegradationReport`] after the parallel section.
     degradation: DegradationReport,
-    /// First store fault this worker hit with degradation disabled,
-    /// tagged with its global group index so the frame surfaces the
-    /// error the serial walk would have hit first.
-    error: Option<(usize, StoreError)>,
+    /// First store fault this worker hit with degradation disabled (the
+    /// chunk stops there).
+    error: Option<StoreError>,
 }
 
-/// One DDA job's contiguous slice of a group's ray grid: the rays' voxel
-/// lists appended back to back, with per-ray end offsets. Global ray index
-/// `base + i` recovers each ray's pixel, so chunks carry no per-ray
-/// metadata and a chunk boundary is invisible to the merged walk.
+/// A contiguous run of a group's ray grid: the rays' voxel lists appended
+/// back to back, with per-ray end offsets. A ray's index in the grid
+/// (its position across the chunks handed to [`VoxelPixelCsr::build`])
+/// recovers its pixel, so chunks carry no per-ray metadata.
 ///
 /// Public (but doc-hidden) so the `streaming` bench can drive the real
 /// group-loop mechanism on captured ray inputs.
@@ -1926,12 +1801,10 @@ pub struct RayChunk {
     ends: Vec<u32>,
     /// DDA steps taken by this chunk's rays.
     steps: u64,
-    /// Global index of the chunk's first ray.
-    base: u32,
 }
 
 impl RayChunk {
-    /// An empty chunk starting at global ray index 0.
+    /// An empty chunk.
     pub fn new() -> RayChunk {
         RayChunk::default()
     }
@@ -2035,11 +1908,12 @@ impl VoxelPixelCsr {
         // voxel's list is sorted exactly like the seed's push order.
         self.pixels.clear();
         self.pixels.resize(total, 0);
+        let mut r = 0u32;
         for c in chunks {
             let mut s = 0usize;
-            for (i, &e) in c.ends.iter().enumerate() {
-                let r = c.base + i as u32;
+            for &e in &c.ends {
                 let pix = (r / nx) * stride * gsz + (r % nx) * stride;
+                r += 1;
                 for &v in &c.voxels[s..e as usize] {
                     let l = self.local[v as usize] as usize;
                     self.pixels[self.cursor[l] as usize] = pix;
@@ -2767,9 +2641,9 @@ mod tests {
 
     #[test]
     fn intra_group_ray_parallelism_is_bit_identical() {
-        // Group sizes that leave fewer groups than workers flip the
-        // renderer into ray-parallel mode; output must not change for any
-        // thread count (the ROADMAP determinism contract).
+        // Group sizes that leave fewer groups than workers: some workers
+        // get no group at all, and output must not change for any thread
+        // count (the determinism contract, docs/DETERMINISM.md).
         let scene = SceneKind::Truck.build(&SceneConfig::tiny());
         let cam = &scene.eval_cameras[0];
         for group_size in [128, 256] {

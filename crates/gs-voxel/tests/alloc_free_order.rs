@@ -8,11 +8,13 @@
 //! known buffers would miss.
 //!
 //! The counting allocator is process-global, so this lives in its own
-//! integration-test binary.
+//! integration-test binary, and every test holds [`MEASURE`] for its whole
+//! body so a test added later cannot allocate inside this one's window.
 
 use gs_voxel::order::{topological_order_into, OrderScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 struct CountingAlloc;
 
@@ -37,8 +39,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
+/// Serializes the tests of this binary (see the module docs).
+static MEASURE: Mutex<()> = Mutex::new(());
+
 #[test]
 fn warm_order_scratch_performs_zero_allocations() {
+    let _alone = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     // A group-sized workload: overlapping forward chains plus a couple of
     // contradictory rays so the cycle-break path is exercised too.
     let mut lists: Vec<Vec<u32>> = (0..32u32).map(|r| (r..r + 48).collect()).collect();

@@ -10,14 +10,17 @@
 //! allocate nothing either.
 //!
 //! The counting allocator is process-global, so this lives in its own
-//! integration-test binary.
+//! integration-test binary, and every test holds [`MEASURE`] for its whole
+//! body: libtest runs tests on parallel threads, and one test's setup
+//! must not allocate inside another test's measured window.
 
 use gs_mem::cache::CacheConfig;
 use gs_mem::TrafficLedger;
 use gs_scene::{SceneConfig, SceneKind};
-use gs_voxel::{PageConfig, StreamingConfig, StreamingOutput, StreamingScene};
+use gs_voxel::{PageConfig, QualityPolicy, StreamingConfig, StreamingOutput, StreamingScene};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAlloc;
 
@@ -41,6 +44,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
+
+/// Serializes the tests of this binary (see the module docs).
+static MEASURE: Mutex<()> = Mutex::new(());
+
+fn measure_alone() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the others still measure alone.
+    MEASURE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Renders `frames` warm frames and returns the allocations they made.
 fn allocs_over_warm_frames(scene: &StreamingScene, frames: u32) -> u64 {
@@ -67,22 +78,27 @@ fn allocs_over_warm_frames(scene: &StreamingScene, frames: u32) -> u64 {
 }
 
 fn scene_with(cache: Option<CacheConfig>) -> StreamingScene {
+    scene_from(|base| StreamingConfig { cache, ..base })
+}
+
+/// The Truck test scene with `tweak` applied to its base configuration.
+fn scene_from(tweak: impl FnOnce(StreamingConfig) -> StreamingConfig) -> StreamingScene {
     let scene = SceneKind::Truck.build(&SceneConfig::tiny());
     StreamingScene::new(
         scene.trained.clone(),
-        StreamingConfig {
+        tweak(StreamingConfig {
             voxel_size: scene.voxel_size,
             // One explicit worker: the serial group loop, no
             // `available_parallelism` query inside the measured region.
             threads: 1,
-            cache,
             ..Default::default()
-        },
+        }),
     )
 }
 
 #[test]
 fn warm_resident_render_performs_zero_allocations() {
+    let _alone = measure_alone();
     let scene = scene_with(None);
     assert_eq!(
         allocs_over_warm_frames(&scene, 4),
@@ -93,6 +109,7 @@ fn warm_resident_render_performs_zero_allocations() {
 
 #[test]
 fn warm_cached_render_performs_zero_allocations() {
+    let _alone = measure_alone();
     let scene = scene_with(Some(CacheConfig::default()));
     assert_eq!(
         allocs_over_warm_frames(&scene, 4),
@@ -103,6 +120,7 @@ fn warm_cached_render_performs_zero_allocations() {
 
 #[test]
 fn warm_paged_render_performs_zero_allocations() {
+    let _alone = measure_alone();
     // Unbounded page budget: after warm-up every page is resident and the
     // staging-buffer pool covers the largest voxel, so even the paged
     // backing renders without allocating.
@@ -121,6 +139,7 @@ fn warm_paged_render_performs_zero_allocations() {
 
 #[test]
 fn warm_paged_coarse_fetches_perform_zero_allocations() {
+    let _alone = measure_alone();
     // The satellite fix in isolation: paged `fetch_coarse` used to build
     // one staging `Vec` per voxel; the return-on-drop buffer pool makes
     // the steady state allocation-free.
@@ -155,4 +174,44 @@ fn warm_paged_coarse_fetches_perform_zero_allocations() {
         allocs, 0,
         "warm paged coarse fetches must not allocate (buffer pool)"
     );
+}
+
+#[test]
+fn warm_two_thread_render_performs_zero_allocations() {
+    // Two explicit workers: every frame dispatches its group chunks
+    // through `WorkerPool::run_split` inside the measured window.
+    let _alone = measure_alone();
+    let scene = scene_from(|base| StreamingConfig { threads: 2, ..base });
+    assert_eq!(
+        allocs_over_warm_frames(&scene, 4),
+        0,
+        "steady-state two-thread streaming render must not allocate"
+    );
+}
+
+#[test]
+fn warm_tiered_renders_perform_zero_allocations() {
+    // Every tier-selecting policy runs the per-frame tier pre-pass; its
+    // scratch (including the byte budget's claim order) must be reused.
+    let _alone = measure_alone();
+    for quality in [
+        QualityPolicy::ScreenSpaceError { threshold: 64.0 },
+        QualityPolicy::Hysteresis {
+            threshold: 64.0,
+            margin: 0.25,
+        },
+        QualityPolicy::ByteBudget { bytes: 60_000 },
+    ] {
+        let scene = scene_from(|base| StreamingConfig {
+            tiers: StreamingConfig::default_tier_ladder(),
+            quality,
+            ..base
+        });
+        assert_eq!(scene.store().tier_count(), 3);
+        assert_eq!(
+            allocs_over_warm_frames(&scene, 4),
+            0,
+            "steady-state tiered streaming render must not allocate ({quality:?})"
+        );
+    }
 }

@@ -63,12 +63,11 @@ fn repeated_streaming_frames_are_stable() {
 
 #[test]
 fn ray_parallel_mode_is_thread_count_invariant() {
-    // A group size that leaves fewer pixel groups than workers flips the
-    // renderer into intra-group ray parallelism (the DDA ray grid fans
-    // out across the pool instead of the group list). Every observable —
-    // image, per-tile workload records, ledger, violations — must be
-    // byte-identical to the serial walk for any thread count, exactly
-    // like group-level chunking.
+    // A group size that leaves fewer pixel groups than workers: the
+    // chunk count is capped at the group count, so most workers idle.
+    // Every observable — image, per-tile workload records, ledger,
+    // violations — must be byte-identical to the serial walk for any
+    // thread count.
     let scene = SceneKind::Truck.build(&SceneConfig::tiny());
     let base = StreamingConfig {
         voxel_size: scene.voxel_size,
@@ -90,6 +89,42 @@ fn ray_parallel_mode_is_thread_count_invariant() {
         assert_eq!(a.workload, b.workload, "per-tile records must match");
         assert_eq!(a.ledger, b.ledger, "ledger must be thread-invariant");
         assert_eq!(a.violations.flags, b.violations.flags);
+    }
+}
+
+#[test]
+fn empty_trailing_window_is_thread_count_invariant() {
+    use gs_core::camera::Camera;
+    use gs_core::vec::Vec3;
+
+    // 160×120 at group size 64 is 3×2 = 6 groups; over 4 workers the
+    // chunk windows are 0..2, 2..4, 4..6 and an empty 6..6, whose job
+    // must still reset its scratch slot and write nothing.
+    let scene = SceneKind::Truck.build(&SceneConfig::tiny());
+    let base = StreamingConfig {
+        voxel_size: scene.voxel_size,
+        group_size: 64,
+        ..Default::default()
+    };
+    let seq = StreamingScene::new(
+        scene.trained.clone(),
+        StreamingConfig { threads: 1, ..base },
+    );
+    let par = StreamingScene::new(
+        scene.trained.clone(),
+        StreamingConfig { threads: 4, ..base },
+    );
+    for eye in [Vec3::new(0.4, 0.3, -7.5), Vec3::new(-3.0, 1.0, -6.0)] {
+        let cam = Camera::look_at(eye, Vec3::ZERO, Vec3::Y, 160, 120, 0.9);
+        let a = seq.render(&cam);
+        let b = par.render(&cam);
+        assert_eq!(a.workload.tiles.len(), 6);
+        assert!(a.workload.totals().gaussians_streamed > 0);
+        assert_eq!(a.image, b.image);
+        assert_eq!(a.workload, b.workload);
+        assert_eq!(a.ledger, b.ledger);
+        assert_eq!(a.violations, b.violations);
+        assert_eq!(a.degradation, b.degradation);
     }
 }
 
