@@ -30,7 +30,7 @@ pub struct FrameArena {
     pub tile_pixels: Vec<Vec3>,
     /// Per-tile rasterization counters.
     pub outcomes: Vec<TileOutcome>,
-    /// Per-worker-chunk blend scratch (transmittance / done flags).
+    /// Per-executor blend scratch (transmittance / done flags).
     pub scratch: Vec<TileScratch>,
     /// Per-chunk buffers for the splat-parallel projection stage.
     pub project: ProjectScratch,
@@ -45,12 +45,12 @@ impl FrameArena {
     }
 
     /// Sizes the rasterization-stage buffers for `n_tiles` tiles rendered by
-    /// `chunks` parallel chunks. Only grows capacity; never shrinks.
-    pub fn ensure_tiles(&mut self, n_tiles: usize, chunks: usize) {
+    /// `executors` parallel executors. Only grows capacity; never shrinks.
+    pub fn ensure_tiles(&mut self, n_tiles: usize, executors: usize) {
         self.tile_pixels.resize(n_tiles * TILE_PIXELS, Vec3::ZERO);
         self.outcomes.resize(n_tiles, TileOutcome::default());
-        if self.scratch.len() < chunks {
-            self.scratch.resize_with(chunks, TileScratch::new);
+        if self.scratch.len() < executors {
+            self.scratch.resize_with(executors, TileScratch::new);
         }
     }
 }

@@ -12,21 +12,35 @@
 //! ## Disjoint parallel writes
 //!
 //! Nearly every parallel stage writes disjoint parts of shared buffers:
-//! chunk `c` of the tile raster owns a contiguous tile range of the pixel
-//! and outcome buffers plus scratch slot `c`. [`WorkerPool::run_split`] is
-//! the one way to express that. Each buffer is cut by [`split`] (a
-//! `job -> Range` window function) or [`per_job`] (element `job`), and
-//! every job receives `&mut` views of its own windows only. The windows
-//! are checked in bounds, ascending and non-overlapping before any job
-//! runs, so callers stay in safe code: this module holds the workspace's
-//! only `unsafe` besides the binning scatter (gs-lint rule D007).
+//! tile `t` of the raster owns its windows of the pixel and outcome
+//! buffers. [`WorkerPool::run_split`] is the one way to express that.
+//! Each buffer is cut by [`split`] (a `job -> Range` window function) or
+//! [`per_job`] (element `job`), and every job receives `&mut` views of
+//! its own windows only. The windows are checked in bounds, ascending and
+//! non-overlapping before any job runs, so callers stay in safe code:
+//! this module holds the workspace's only `unsafe` besides the binning
+//! scatter (gs-lint rule D007).
+//!
+//! ## Claimed jobs on per-executor scratch
+//!
+//! The renderers' main loops have many small jobs of uneven cost (one
+//! per pixel group or tile) that also need reusable working buffers.
+//! [`WorkerPool::run_claimed`] runs them on a fixed set of executors,
+//! one per scratch slot: each executor claims the next job index, in
+//! ascending order, as soon as it is free, and lends its own slot to
+//! that job. A heavy job then delays only itself, where static
+//! `lo..hi` chunks made the frame wait for the heaviest chunk.
 //!
 //! Determinism: a job index always maps to the same windows, so the render
-//! result is independent of which worker executes which index.
+//! result is independent of which worker executes which index. Under
+//! `run_claimed` the scratch slot is timing-dependent too, so whatever a
+//! job leaves there must either be keyed by job index (the streaming
+//! renderer's per-group trace spans) or merge order-independently.
 //!
-//! No allocation happens per `run`/`run_split` call: job dispatch is a
-//! shared `(closure pointer, index counter)` guarded by a mutex/condvar
-//! pair, and the window check walks the window functions in place.
+//! No allocation happens per `run`/`run_split`/`run_claimed` call: job
+//! dispatch is a shared `(closure pointer, index counter)` guarded by a
+//! mutex/condvar pair, and the window check walks the window functions in
+//! place.
 
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -116,7 +130,7 @@ mod sealed {
 use sealed::Claim;
 
 /// What [`WorkerPool::run_split`] cuts into per-job windows: a [`split`],
-/// a [`per_job`], or a tuple of up to four of them.
+/// a [`per_job`], or a tuple of up to five of them.
 pub trait Parts: Claim {}
 impl<P: Claim> Parts for P {}
 
@@ -178,6 +192,7 @@ macro_rules! tuple_parts {
 tuple_parts!(A.0, B.1);
 tuple_parts!(A.0, B.1, C.2);
 tuple_parts!(A.0, B.1, C.2, D.3);
+tuple_parts!(A.0, B.1, C.2, D.3, E.4);
 
 /// Type-erased pointer to the frame's job closure plus its call shim.
 #[derive(Copy, Clone)]
@@ -371,26 +386,62 @@ impl WorkerPool {
         });
     }
 
-    /// [`WorkerPool::run_split`] for a renderer that owns its pool lazily:
-    /// a single job runs inline on the calling thread and leaves `slot`
-    /// untouched, more jobs run on the pool in `slot`, made to have at
-    /// least `jobs` workers by [`WorkerPool::ensure`].
+    /// Runs `f(job, scratch, windows)` for every `job` in `0..jobs`, one
+    /// job per claim, on at most `scratch.len()` executors: each executor
+    /// (the calling thread is one of them) borrows its own scratch slot
+    /// and claims jobs one at a time in ascending order until none are
+    /// left, so a heavy job holds up only itself, never a pre-cut chunk
+    /// of lighter ones. `windows` are job `job`'s `&mut` views of `parts`,
+    /// as in [`WorkerPool::run_split`]; the scratch borrow lasts one call.
+    ///
+    /// With one executor (a single scratch slot or a single job) the jobs
+    /// run inline on the calling thread and `slot` is left untouched;
+    /// otherwise they run on the pool in `slot`, made to have at least
+    /// one worker per executor by [`WorkerPool::ensure`]. Which slot
+    /// runs a job depends on timing, so a job's results must depend on
+    /// its index and windows only (see the module docs).
     ///
     /// # Panics
     ///
-    /// As [`WorkerPool::run_split`].
-    pub fn run_split_in<P: Parts, F: Fn(usize, P::Window) + Sync>(
+    /// Before any job runs, if `jobs > 0` and `scratch` is empty, or if
+    /// the windows of `parts` are bad (as [`WorkerPool::run_split`]).
+    /// After the jobs drain, if one panicked (as [`WorkerPool::run`]).
+    pub fn run_claimed<S: Send, P: Parts, F: Fn(usize, &mut S, P::Window) + Sync>(
         slot: &mut Option<WorkerPool>,
+        scratch: &mut [S],
         jobs: usize,
         parts: P,
         f: F,
     ) {
-        if jobs <= 1 {
-            parts.check(jobs);
-            (0..jobs).for_each(|job| f(job, parts.claim(job)));
-        } else {
-            WorkerPool::ensure(slot, jobs).run_split(jobs, parts, f);
+        parts.check(jobs);
+        let executors = scratch.len().min(jobs);
+        assert!(
+            executors > 0 || jobs == 0,
+            "run_claimed: {jobs} jobs but no scratch slot"
+        );
+        if executors <= 1 {
+            if let Some(s) = scratch.first_mut() {
+                (0..jobs).for_each(|job| f(job, s, parts.claim(job)));
+            }
+            return;
         }
+        // Claims are serialized, so windows are taken in ascending job
+        // order (the `Claim` contract).
+        let next_job = Mutex::new(0usize);
+        let claim = || {
+            let mut next = lock_unpoisoned(&next_job);
+            let job = *next;
+            (job < jobs).then(|| {
+                *next += 1;
+                (job, parts.claim(job))
+            })
+        };
+        let executor_slots = per_job(&mut scratch[..executors]);
+        WorkerPool::ensure(slot, executors).run_split(executors, executor_slots, |_, s| {
+            while let Some((job, windows)) = claim() {
+                f(job, s, windows);
+            }
+        });
     }
 }
 
@@ -543,8 +594,95 @@ mod tests {
         pool.run_split(0, per_job(&mut seen), |_, _| panic!("never"));
         // One job runs inline without creating a pool.
         let mut slot = None;
-        WorkerPool::run_split_in(&mut slot, 1, per_job(&mut seen), |_, s| *s = 7);
+        WorkerPool::run_claimed(&mut slot, &mut [(); 4], 1, per_job(&mut seen), |_, _, s| {
+            *s = 7
+        });
         assert!(slot.is_none() && seen[0] == 7);
+    }
+
+    #[test]
+    fn run_claimed_runs_each_job_once_on_an_exclusive_slot() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        for threads in [2usize, 3, 7] {
+            // The first `threads` jobs meet at a barrier, so that many
+            // executors must hold a slot at once; an extra executor would
+            // run job `threads` meanwhile and push the peak over.
+            let all_busy = Barrier::new(threads);
+            let mut slot = None;
+            let mut slots: Vec<usize> = (0..threads).collect();
+            let in_use: Vec<AtomicBool> = (0..threads).map(|_| AtomicBool::new(false)).collect();
+            let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            // Recorded, not asserted, inside the job: a panicking job would
+            // leave the others waiting at the barrier.
+            let shared = AtomicBool::new(false);
+            let mut out = vec![0usize; 40];
+            let mut runs = vec![0u32; 20];
+            let parts = (split(&mut out, |j| 2 * j..2 * j + 2), per_job(&mut runs));
+            WorkerPool::run_claimed(&mut slot, &mut slots[..], 20, parts, |j, s, (w, n)| {
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                if in_use[*s].swap(true, Ordering::SeqCst) {
+                    shared.store(true, Ordering::SeqCst);
+                }
+                if j < threads {
+                    all_busy.wait();
+                }
+                w.fill(j + 1);
+                *n += 1;
+                in_use[*s].store(false, Ordering::SeqCst);
+                running.fetch_sub(1, Ordering::SeqCst);
+            });
+            assert!(!shared.into_inner(), "two running jobs held one slot");
+            assert!(runs.iter().all(|&n| n == 1), "threads={threads}");
+            assert!(out.iter().enumerate().all(|(i, &v)| v == i / 2 + 1));
+            let peak = peak.load(Ordering::SeqCst);
+            assert_eq!(peak, threads, "executors running at once");
+        }
+    }
+
+    #[test]
+    fn run_claimed_with_one_slot_runs_inline_without_a_pool() {
+        let caller = std::thread::current().id();
+        let mut slot = None;
+        let mut order = [Vec::new()];
+        let mut hits = [0u8; 9];
+        WorkerPool::run_claimed(&mut slot, &mut order, 9, per_job(&mut hits), |j, o, h| {
+            assert_eq!(std::thread::current().id(), caller);
+            o.push(j);
+            *h += 1;
+        });
+        assert!(slot.is_none());
+        assert_eq!(hits, [1; 9]);
+        // Jobs are claimed in ascending order.
+        assert_eq!(order[0], (0..9).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn run_claimed_zero_jobs_is_a_noop_and_bad_windows_panic_first() {
+        let mut slot = None;
+        let never = |_: usize, _: &mut u8, _: &mut [u8]| panic!("must not run");
+        let mut data = [0u8; 10];
+        WorkerPool::run_claimed(
+            &mut slot,
+            &mut [0u8; 3],
+            0,
+            split(&mut data, |_| 0..0),
+            never,
+        );
+        WorkerPool::run_claimed(&mut slot, &mut [], 0, split(&mut data, |_| 0..0), never);
+        assert!(slot.is_none());
+        let ran = AtomicUsize::new(0);
+        for (slots, window) in [(3, 4), (1, 4), (3, 6)] {
+            let parts = split(&mut data, move |j: usize| j * window..j * window + 5);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                WorkerPool::run_claimed(&mut slot, &mut vec![0u8; slots], 2, parts, |_, _, _| {
+                    _ = ran.fetch_add(1, Ordering::Relaxed)
+                })
+            }));
+            assert!(caught.is_err(), "slots={slots} window={window}");
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), 0);
     }
 
     #[test]

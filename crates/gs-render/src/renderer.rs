@@ -9,7 +9,7 @@
 
 use crate::arena::{FrameArena, TILE_PIXELS};
 use crate::binning::{bin_and_sort_into, bin_and_sort_parallel};
-use crate::pool::{per_job, resolve_threads, split, WorkerPool};
+use crate::pool::{per_job, resolve_threads, WorkerPool};
 use crate::projection::{project_splats_into, project_splats_parallel, tile_grid};
 use crate::rasterize::rasterize_tile;
 use crate::stats::RenderStats;
@@ -172,23 +172,25 @@ impl TileRenderer {
             );
         }
 
-        // Stage 3: per-tile rasterization. Chunk c rasterizes the tiles
-        // `tiles(c)` into its windows of the pixel/outcome buffers with
-        // scratch slot c.
-        let threads = workers.min(n_tiles.max(1));
-        arena.ensure_tiles(n_tiles, threads);
-        let chunk = n_tiles.div_ceil(threads.max(1));
-        let tiles = |c: usize| (c * chunk).min(n_tiles)..((c + 1) * chunk).min(n_tiles);
+        // Stage 3: per-tile rasterization, one job per tile, claimed in
+        // ascending order by one executor per scratch slot; tile t writes
+        // only its own pixel and outcome windows.
+        let executors = workers.min(n_tiles.max(1));
+        arena.ensure_tiles(n_tiles, executors);
         let splats = &arena.splats[..];
         let keys = &arena.keys[..];
         let ranges = &arena.ranges[..];
         let parts = (
-            per_job(&mut arena.scratch),
-            split(arena.tile_pixels.as_chunks_mut::<TILE_PIXELS>().0, tiles),
-            split(&mut arena.outcomes, tiles),
+            per_job(arena.tile_pixels.as_chunks_mut::<TILE_PIXELS>().0),
+            per_job(&mut arena.outcomes),
         );
-        WorkerPool::run_split_in(pool, threads, parts, |c, (scratch, pixels, outcomes)| {
-            for ((t, buf), outcome) in tiles(c).zip(pixels).zip(outcomes) {
+        let scratch = &mut arena.scratch[..executors];
+        WorkerPool::run_claimed(
+            pool,
+            scratch,
+            n_tiles,
+            parts,
+            |t, scratch, (buf, outcome)| {
                 *outcome = rasterize_tile(
                     splats,
                     keys,
@@ -200,26 +202,25 @@ impl TileRenderer {
                     scratch,
                     buf,
                 );
-            }
-        });
+            },
+        );
 
-        // Composite tiles and fold stats (serial, deterministic order).
+        // Composite tiles row by row and fold stats (serial, deterministic
+        // order).
         let mut image = ImageRgb::new(width, height);
         let mut fragments = 0u64;
         let mut skipped = 0u64;
         let mut early = 0u64;
         let mut consumed = 0u64;
+        let pixels = image.as_mut_slice();
         for t in 0..n_tiles {
             let (ox, oy) = tile_origin(t, tiles_x);
             let buf = &arena.tile_pixels[t * TILE_PIXELS..(t + 1) * TILE_PIXELS];
-            for ly in 0..TILE_SIZE {
-                for lx in 0..TILE_SIZE {
-                    let px = ox + lx;
-                    let py = oy + ly;
-                    if px < width && py < height {
-                        image.set(px, py, buf[(ly * TILE_SIZE + lx) as usize]);
-                    }
-                }
+            let cols = TILE_SIZE.min(width - ox) as usize;
+            for ly in 0..TILE_SIZE.min(height - oy) {
+                let row = (oy + ly) as usize * width as usize + ox as usize;
+                let tile_row = (ly * TILE_SIZE) as usize;
+                pixels[row..row + cols].copy_from_slice(&buf[tile_row..tile_row + cols]);
             }
             let outcome = &arena.outcomes[t];
             fragments += outcome.fragments;

@@ -124,6 +124,13 @@ pub use streaming::{
 };
 pub use workload::{FrameWorkload, TileWorkload};
 
+/// Grows `v`'s capacity to at least `cap` (a no-op once it has it).
+/// Exact, so that slots matched against each other's capacity settle
+/// instead of ratcheting each other up by amortized doubling.
+pub(crate) fn reserve_to<T>(v: &mut Vec<T>, cap: usize) {
+    v.reserve_exact(cap.saturating_sub(v.len()));
+}
+
 // The tier layout type lives in `gs-vq` (the codec layer); re-exported
 // here because `StreamingConfig::tiers` is the usual way to name one.
 pub use gs_vq::TierSpec;

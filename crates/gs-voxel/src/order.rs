@@ -17,6 +17,7 @@
 //! and every buffer (including the ready heap) keeps its capacity across
 //! calls — steady-state ordering performs **zero allocations**.
 
+use crate::reserve_to;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
@@ -79,6 +80,21 @@ impl OrderScratch {
     /// A fresh scratch (buffers grow on first use).
     pub fn new() -> OrderScratch {
         OrderScratch::default()
+    }
+
+    /// Grows every buffer to at least `peer`'s capacity, so this scratch
+    /// orders anything `peer` has ordered without allocating.
+    pub(crate) fn reserve_like(&mut self, peer: &OrderScratch) {
+        reserve_to(&mut self.local, peer.local.capacity());
+        reserve_to(&mut self.stamp, peer.stamp.capacity());
+        reserve_to(&mut self.ids, peer.ids.capacity());
+        reserve_to(&mut self.depth, peer.depth.capacity());
+        reserve_to(&mut self.in_degree, peer.in_degree.capacity());
+        reserve_to(&mut self.edges, peer.edges.capacity());
+        reserve_to(&mut self.adj_off, peer.adj_off.capacity());
+        reserve_to(&mut self.emitted, peer.emitted.capacity());
+        let ready = peer.ready.capacity().saturating_sub(self.ready.len());
+        self.ready.reserve_exact(ready);
     }
 
     /// Maps a voxel id to its dense local index, interning it on first

@@ -20,12 +20,15 @@
 //!   `u64` bitset words, so the "any live pixel?" test is
 //!   `mask & !done != 0` per word and stride dilation is a precomputed
 //!   per-pixel span table ([`MaskScratch`]) instead of a stride² loop;
-//! * the group list is cut into contiguous chunks, one per worker, which
-//!   write disjoint windows of the frame arena through
-//!   [`WorkerPool::run_split`]; per-chunk ledgers, traces and violation
-//!   lists merge in chunk order, so output stays **bit-identical** for any
-//!   worker count — the same determinism contract as the parallel
-//!   front-end in `gs_render`.
+//! * every pixel group is one job, claimed in ascending group order by a
+//!   fixed set of executors through [`WorkerPool::run_claimed`], so a
+//!   heavy group delays only itself. Each executor lends its own
+//!   `GroupScratch` to the groups it claims; every per-group result
+//!   (pixels, workload, trace span, error) lands in the group's own
+//!   window of the frame arena, and the per-executor ledgers and
+//!   violation lists merge order-independently. Output stays
+//!   **bit-identical** for any worker count — the same determinism
+//!   contract as the parallel front-end in `gs_render`.
 //!
 //! The pre-CSR loop (hash-map voxel→pixels, `Vec<bool>` masks, float
 //! pixel walk) soaked for a release as `render_reference_loop` and has
@@ -53,6 +56,7 @@ use crate::dda::traverse_append;
 use crate::filter::{coarse_test, fine_test, FineSplat, TileRect};
 use crate::grid::VoxelGrid;
 use crate::order::{topological_order_into, OrderScratch};
+use crate::reserve_to;
 use crate::store::{
     lock_unpoisoned, ColumnKind, FaultPolicy, FaultStats, PageConfig, StoreError, VoxelStore,
 };
@@ -69,6 +73,7 @@ use gs_scene::{Gaussian, GaussianCloud};
 use gs_vq::{GaussianQuantizer, QuantizedCloud, TierSpec, VqConfig};
 use serde::{Deserialize, Serialize};
 use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// An out-of-order blend counts as a violation only when the depth
@@ -364,7 +369,7 @@ impl ViolationReport {
 /// Fault-recovery accounting of one rendered frame.
 ///
 /// Thread-invariant like the ledger: per-voxel events are summed over the
-/// worker chunks (order-independent) and the page/fault counters are a
+/// executors (order-independent) and the page/fault counters are a
 /// snapshot delta over the store, whose page materializations happen in a
 /// deterministic set regardless of which worker triggers them first.
 /// All-zero (see [`DegradationReport::is_clean`]) on resident stores and
@@ -800,8 +805,8 @@ impl StreamingScene {
     /// rendering worker's [`TrafficLedger`] and the merged frame ledger is
     /// returned in the output.
     ///
-    /// All intermediate buffers (group pixel partials, per-chunk DDA /
-    /// filter / blend scratch, per-worker ledgers) live in a frame arena
+    /// All intermediate buffers (group pixel partials, per-executor DDA /
+    /// filter / blend scratch and ledgers) live in a frame arena
     /// and the group workers run on a persistent pool, both reused across
     /// frames: steady-state rendering allocates only the returned
     /// image/workload ([`StreamingScene::render_into`] reuses even those).
@@ -928,9 +933,7 @@ impl StreamingScene {
         let groups_y = height.div_ceil(gsz);
         let n_groups = (groups_x * groups_y) as usize;
 
-        let chunks = resolve_threads(self.config.threads).min(n_groups).max(1);
-        let chunk = n_groups.div_ceil(chunks);
-        let groups_of = |c: usize| (c * chunk).min(n_groups)..((c + 1) * chunk).min(n_groups);
+        let executors = resolve_threads(self.config.threads);
 
         let mut guard = lock_unpoisoned(&self.scratch);
         let StreamScratch {
@@ -938,6 +941,8 @@ impl StreamingScene {
             pixels,
             workloads,
             vblends,
+            spans,
+            errors,
             groups,
             cache,
             tier_map,
@@ -947,8 +952,21 @@ impl StreamingScene {
         pixels.resize(n_groups * gp, Vec3::ZERO);
         workloads.resize(n_groups, TileWorkload::default());
         vblends.resize(n_groups, 0);
-        if groups.len() < chunks {
-            groups.resize_with(chunks, GroupScratch::default);
+        spans.resize(n_groups, TraceSpan::default());
+        errors.resize_with(n_groups, || None);
+        if groups.len() < executors {
+            groups.resize_with(executors, GroupScratch::default);
+        }
+        // Executor scratch accumulates over every group it runs, so it is
+        // reset per frame, not per group.
+        let groups = &mut groups[..executors];
+        for (slot, scratch) in groups.iter_mut().enumerate() {
+            scratch.slot = slot;
+            scratch.violating.clear();
+            scratch.ledger.clear();
+            scratch.trace.clear();
+            scratch.degradation = DegradationReport::default();
+            scratch.error = None;
         }
 
         // Serial per-voxel tier selection (ascending voxel id): a pure
@@ -968,42 +986,54 @@ impl StreamingScene {
             None
         };
 
-        // Chunk c renders the groups `groups_of(c)` into its windows of the
-        // pixel/workload/vblend buffers with scratch slot c.
-        let px = |c: usize| {
-            let g = groups_of(c);
-            g.start * gp..g.end * gp
-        };
+        // One job per pixel group, claimed in ascending group order by one
+        // executor per scratch slot. Every per-group result lands in the
+        // group's own windows (pixels, workload, out-of-order blend count,
+        // trace span, error), so the frame is identical for any worker
+        // count. A failing group cancels only the groups above it: every
+        // lower group still runs, so the lowest-indexed error is exactly
+        // the one the serial walk would hit.
+        // `Relaxed` suffices: the index publishes no data (errors travel
+        // in the groups' windows, read after the pool joins), and a stale
+        // read only lets one more group above the failure run.
+        let first_failed = AtomicUsize::new(usize::MAX);
         let parts = (
-            per_job(groups),
-            split(pixels, px),
-            split(workloads, groups_of),
-            split(vblends, groups_of),
+            split(pixels, |g| g * gp..(g + 1) * gp),
+            per_job(workloads),
+            per_job(vblends),
+            per_job(spans),
+            per_job(errors),
         );
-        WorkerPool::run_split_in(pool, chunks, parts, |c, (scratch, pixels, wls, vbs)| {
-            scratch.violating.clear();
-            scratch.ledger.clear();
-            scratch.trace.clear();
-            scratch.degradation = DegradationReport::default();
-            scratch.error = None;
-            let bufs = pixels.chunks_exact_mut(gp);
-            for (((t, buf), w), vb) in groups_of(c).zip(bufs).zip(wls).zip(vbs) {
-                let (gx, gy) = (t as u32 % groups_x, t as u32 / groups_x);
-                (*w, *vb) = self.render_group_into(
-                    cam, gx, gy, width, height, path, kernels, tmap, scratch, buf,
-                );
-                if scratch.error.is_some() {
-                    return; // fail-fast: the frame is aborted below
+        WorkerPool::run_claimed(
+            pool,
+            groups,
+            n_groups,
+            parts,
+            |g, scratch, (pixels, w, vb, span, error)| {
+                *error = None;
+                if g > first_failed.load(Ordering::Relaxed) {
+                    return; // a lower group failed: the frame is aborted below
                 }
-            }
-        });
+                let (gx, gy) = (g as u32 % groups_x, g as u32 / groups_x);
+                let start = scratch.trace.len();
+                (*w, *vb) = self.render_group_into(
+                    cam, gx, gy, width, height, path, kernels, tmap, scratch, pixels,
+                );
+                *span = TraceSpan {
+                    slot: scratch.slot,
+                    start,
+                    end: scratch.trace.len(),
+                };
+                if let Some(e) = scratch.error.take() {
+                    first_failed.fetch_min(g, Ordering::Relaxed);
+                    *error = Some(e);
+                }
+            },
+        );
 
         // A failed group aborts the frame *before* the assembly and cache
         // replay — the cache model never advances on an abandoned frame.
-        // Chunk windows ascend in group order and each chunk stops at its
-        // first failure, so the first failing chunk holds the error the
-        // serial walk would hit: identical for any worker count.
-        if let Some(e) = groups[..chunks].iter_mut().find_map(|g| g.error.take()) {
+        if let Some(e) = errors.iter_mut().find_map(Option::take) {
             return Err(e);
         }
 
@@ -1022,42 +1052,39 @@ impl StreamingScene {
         violations.flags.resize(self.source.len(), false);
         violations.violating_blends = 0;
         violations.total_blends = 0;
+        let image = image.as_mut_slice();
         for t in 0..n_groups {
-            let gx = t as u32 % groups_x;
-            let gy = t as u32 / groups_x;
-            let ox = gx * gsz;
-            let oy = gy * gsz;
-            let n = gsz as usize;
+            let ox = t as u32 % groups_x * gsz;
+            let oy = t as u32 / groups_x * gsz;
             let group_pixels = &pixels[t * gp..(t + 1) * gp];
-            for ly in 0..gsz {
-                for lx in 0..gsz {
-                    let px = ox + lx;
-                    let py = oy + ly;
-                    if px < width && py < height {
-                        image.set(px, py, group_pixels[(ly as usize) * n + lx as usize]);
-                    }
-                }
+            let cols = gsz.min(width - ox) as usize;
+            for ly in 0..gsz.min(height - oy) {
+                let row = (oy + ly) as usize * width as usize + ox as usize;
+                let group_row = (ly * gsz) as usize;
+                image[row..row + cols].copy_from_slice(&group_pixels[group_row..group_row + cols]);
             }
             workload.tiles.push(workloads[t]);
             violations.violating_blends += vblends[t];
             violations.total_blends += workloads[t].blend_fragments;
         }
-        // Merge the per-worker ledgers in deterministic chunk order — the
-        // frame's single source of byte truth (the per-tile byte counters
-        // above were derived from the same per-worker ledgers, so totals
-        // agree exactly).
+        // Merge the per-executor ledgers — the frame's single source of
+        // byte truth (the per-tile byte counters above were derived from
+        // the same ledgers, so totals agree exactly). Every merged value is
+        // an integer sum or a flag set, so which executor ran which group
+        // does not matter.
         let ledger = &mut out.ledger;
         ledger.clear();
         let mut degradation = DegradationReport::default();
-        for chunk_scratch in &groups[..chunks] {
-            for &gi in &chunk_scratch.violating {
+        for scratch in groups.iter() {
+            for &gi in &scratch.violating {
                 violations.flags[gi as usize] = true;
             }
-            ledger.merge(&chunk_scratch.ledger);
-            degradation.voxels_skipped += chunk_scratch.degradation.voxels_skipped;
-            degradation.fine_degraded += chunk_scratch.degradation.fine_degraded;
-            degradation.fine_skipped += chunk_scratch.degradation.fine_skipped;
+            ledger.merge(&scratch.ledger);
+            degradation.voxels_skipped += scratch.degradation.voxels_skipped;
+            degradation.fine_degraded += scratch.degradation.fine_degraded;
+            degradation.fine_skipped += scratch.degradation.fine_skipped;
         }
+        GroupScratch::even_out(groups);
         // Page/fault counters come from the store itself as a snapshot
         // delta: which pages materialize (and therefore which reads fault)
         // is a deterministic set for the frame, so the delta is invariant
@@ -1070,13 +1097,13 @@ impl StreamingScene {
         out.degradation = degradation;
 
         // Working-set cache simulation: replay the recorded coarse/fine
-        // fetch trace through the frame-persistent caches. Chunks cover
-        // contiguous group ranges in chunk order, so walking the chunk
-        // traces back-to-back replays the frame in global group order —
-        // the cache outcome is a pure function of that order and therefore
-        // invariant across worker-thread counts. Hits become on-chip
-        // bytes, misses become burst-rounded line fills (the only DRAM
-        // transaction traffic of the cached stages).
+        // fetch trace through the frame-persistent caches. Walking the
+        // groups' trace spans in group order replays the frame in global
+        // group order, wherever each group ran — the cache outcome is a
+        // pure function of that order and therefore invariant across
+        // worker-thread counts. Hits become on-chip bytes, misses become
+        // burst-rounded line fills (the only DRAM transaction traffic of
+        // the cached stages).
         out.cache = self.config.cache.map(|cache_cfg| {
             let sim = cache.get_or_insert_with(|| FrameCacheSim {
                 coarse: WorkingSetCache::new(cache_cfg),
@@ -1097,9 +1124,8 @@ impl StreamingScene {
                 base += self.store.tier_column_bytes(tt);
             }
             let mut rep = CacheReport::default();
-            let mut t = 0usize;
-            for chunk_scratch in &groups[..chunks] {
-                for op in &chunk_scratch.trace {
+            for (w, span) in workload.tiles.iter_mut().zip(spans.iter()) {
+                for op in &groups[span.slot].trace[span.start..span.end] {
                     match *op {
                         TraceOp::Coarse(vid) => {
                             let slots = self.store.slots_of(vid);
@@ -1108,7 +1134,6 @@ impl StreamingScene {
                             let o = sim.coarse.access(addr, bytes, &mut rep.coarse);
                             ledger.note_hit(Stage::VoxelCoarse, Direction::Read, o.hit_bytes);
                             ledger.note_dram(Stage::VoxelCoarse, Direction::Read, o.fill_bytes);
-                            let w = &mut workload.tiles[t];
                             w.coarse_hit_bytes += o.hit_bytes;
                             w.coarse_dram_bytes += o.fill_bytes;
                         }
@@ -1119,7 +1144,6 @@ impl StreamingScene {
                             ledger.note_hit(Stage::VoxelFine, Direction::Read, o.hit_bytes);
                             ledger.note_dram(Stage::VoxelFine, Direction::Read, o.fill_bytes);
                             ledger.note_tier_dram(0, o.fill_bytes);
-                            let w = &mut workload.tiles[t];
                             w.fine_hit_bytes += o.hit_bytes;
                             w.fine_dram_bytes += o.fill_bytes;
                             w.fine_tier_dram_bytes[0] += o.fill_bytes;
@@ -1134,16 +1158,13 @@ impl StreamingScene {
                             ledger.note_hit(Stage::VoxelFine, Direction::Read, o.hit_bytes);
                             ledger.note_dram(Stage::VoxelFine, Direction::Read, o.fill_bytes);
                             ledger.note_tier_dram(tu, o.fill_bytes);
-                            let w = &mut workload.tiles[t];
                             w.fine_hit_bytes += o.hit_bytes;
                             w.fine_dram_bytes += o.fill_bytes;
                             w.fine_tier_dram_bytes[tu] += o.fill_bytes;
                         }
-                        TraceOp::GroupEnd => t += 1,
                     }
                 }
             }
-            debug_assert_eq!(t, n_groups, "trace group markers out of sync");
             rep
         });
 
@@ -1330,6 +1351,7 @@ impl StreamingScene {
             trace,
             degradation,
             error,
+            slot: _,
         } = scratch;
         // With a cache configured, coarse/fine fetches are recorded in the
         // trace and their DRAM/hit accounting happens in the frame-end
@@ -1659,9 +1681,6 @@ impl StreamingScene {
         // DRAM transaction, metered like every other byte (never cached).
         let live_pixels = ((rect.x1 - rect.x0) * (rect.y1 - rect.y0)) as u64;
         ledger.add_transfer(Stage::PixelOut, Direction::Write, live_pixels * 16, burst);
-        if cached {
-            trace.push(TraceOp::GroupEnd);
-        }
 
         // The group's byte counters are read back from the ledger — the
         // ledger is the source of truth, the workload a per-tile view.
@@ -1686,7 +1705,7 @@ impl StreamingScene {
 }
 
 /// Frame-persistent render state: the worker pool plus the frame arena
-/// (per-group outputs and per-chunk scratch), behind a mutex so `render`
+/// (per-group outputs and per-executor scratch), behind a mutex so `render`
 /// stays `&self`. Concurrent renders on one scene serialize; clone the
 /// scene for independent parallel use.
 #[derive(Debug, Default)]
@@ -1698,7 +1717,13 @@ struct StreamScratch {
     workloads: Vec<TileWorkload>,
     /// Per-group out-of-order blend counts.
     vblends: Vec<u64>,
-    /// Per-chunk reusable working state.
+    /// Per-group location of the group's fetch trace in its executor's
+    /// scratch (read by the cache replay).
+    spans: Vec<TraceSpan>,
+    /// Per-group store fault (degradation disabled); `None` for groups
+    /// that succeeded or were cancelled by a lower failing group.
+    errors: Vec<Option<StoreError>>,
+    /// Per-executor reusable working state.
     groups: Vec<GroupScratch>,
     /// Frame-persistent working-set cache simulation (lazily built from
     /// [`StreamingConfig::cache`]); carries state across frames so
@@ -1725,6 +1750,15 @@ struct FrameCacheSim {
     fine: WorkingSetCache,
 }
 
+/// Where one group's fetch trace lives: ops `start..end` of executor
+/// scratch slot `slot`'s trace.
+#[derive(Copy, Clone, Debug, Default)]
+struct TraceSpan {
+    slot: usize,
+    start: usize,
+    end: usize,
+}
+
 /// One recorded fetch of a group's coarse/fine phases, replayed through
 /// the cache simulation in deterministic group order at frame end.
 #[derive(Copy, Clone, Debug)]
@@ -1742,13 +1776,17 @@ enum TraceOp {
         /// Tier-local slot index.
         slot: u32,
     },
-    /// Group boundary (advances the per-tile accounting cursor).
-    GroupEnd,
 }
 
-/// Reusable per-chunk working buffers for [`StreamingScene::render`].
+/// Reusable per-executor working buffers for [`StreamingScene::render`]:
+/// one slot per executor, lent to every group that executor claims. The
+/// per-group buffers are rebuilt by each group; the frame-long ones
+/// (violations, ledger, trace, degradation) accumulate over all of the
+/// executor's groups and merge order-independently or by trace span.
 #[derive(Debug, Default)]
 struct GroupScratch {
+    /// This scratch's index among the frame's executor slots.
+    slot: usize,
     /// The current group's DDA ray lists, back to back in ray order.
     rays: RayChunk,
     /// voxel → pixel-list CSR over epoch-remapped dense voxel ids
@@ -1767,22 +1805,62 @@ struct GroupScratch {
     splats: Vec<(u32, FineSplat)>,
     /// Persistent partial-pixel state across the group's voxels.
     blend: GroupBlender,
-    /// Gaussians blended out of depth order (accumulated per chunk).
+    /// Gaussians blended out of depth order (accumulated per executor).
     violating: Vec<u32>,
-    /// This worker's traffic ledger: every store fetch and pixel writeback
-    /// of its groups, merged into the frame ledger (in chunk order) after
-    /// the parallel section — byte accounting without a shared lock.
+    /// This executor's traffic ledger: every store fetch and pixel
+    /// writeback of its groups, merged into the frame ledger after the
+    /// parallel section — byte accounting without a shared lock.
     ledger: TrafficLedger,
-    /// This worker's recorded coarse/fine fetch trace (group-delimited),
-    /// replayed through the frame's cache simulation in deterministic
-    /// group order. Empty when no cache is configured.
+    /// This executor's recorded coarse/fine fetch trace, its groups back
+    /// to back; each group's span is recorded per group, so the frame's
+    /// cache simulation replays the trace in group order. Empty when no
+    /// cache is configured.
     trace: Vec<TraceOp>,
-    /// This worker's per-voxel degradation counters, summed into the
+    /// This executor's per-voxel degradation counters, summed into the
     /// frame's [`DegradationReport`] after the parallel section.
     degradation: DegradationReport,
-    /// First store fault this worker hit with degradation disabled (the
-    /// chunk stops there).
+    /// The current group's first store fault with degradation disabled:
+    /// the group stops there, and its job moves the error into the
+    /// group's own error slot.
     error: Option<StoreError>,
+}
+
+impl GroupScratch {
+    /// Grows every buffer to at least `peer`'s capacity.
+    fn reserve_like(&mut self, peer: &GroupScratch) {
+        self.rays.reserve_like(&peer.rays);
+        self.csr.reserve_like(&peer.csr);
+        self.order.reserve_like(&peer.order);
+        reserve_to(&mut self.order_out, peer.order_out.capacity());
+        self.mask.reserve_like(&peer.mask);
+        reserve_to(&mut self.survivors, peer.survivors.capacity());
+        reserve_to(&mut self.splats, peer.splats.capacity());
+        self.blend.reserve_like(&peer.blend);
+        reserve_to(&mut self.violating, peer.violating.capacity());
+        reserve_to(&mut self.trace, peer.trace.capacity());
+    }
+
+    /// Lets every executor slot run any group, and any share of the
+    /// frame, without allocating: grows each slot's buffers to the largest
+    /// capacity any slot holds, and its frame-long trace and violation
+    /// lists to this frame's totals. Which executor claims which group
+    /// changes from frame to frame, so without this a warm frame would
+    /// still allocate whenever an executor first meets a heavy group.
+    fn even_out(slots: &mut [GroupScratch]) {
+        for i in 1..slots.len() {
+            let (done, rest) = slots.split_at_mut(i);
+            for s in done.iter_mut() {
+                s.reserve_like(&rest[0]);
+                rest[0].reserve_like(s);
+            }
+        }
+        let trace = slots.iter().map(|s| s.trace.len()).sum();
+        let violating = slots.iter().map(|s| s.violating.len()).sum();
+        for s in slots {
+            reserve_to(&mut s.trace, trace);
+            reserve_to(&mut s.violating, violating);
+        }
+    }
 }
 
 /// A contiguous run of a group's ray grid: the rays' voxel lists appended
@@ -1814,6 +1892,12 @@ impl RayChunk {
     pub fn push_ray(&mut self, voxels: &[u32]) {
         self.voxels.extend_from_slice(voxels);
         self.ends.push(self.voxels.len() as u32);
+    }
+
+    /// Grows both buffers to at least `peer`'s capacity.
+    fn reserve_like(&mut self, peer: &RayChunk) {
+        reserve_to(&mut self.voxels, peer.voxels.capacity());
+        reserve_to(&mut self.ends, peer.ends.capacity());
     }
 
     /// The chunk's per-ray voxel slices, in ray order.
@@ -1924,6 +2008,16 @@ impl VoxelPixelCsr {
         }
     }
 
+    /// Grows every buffer to at least `peer`'s capacity.
+    fn reserve_like(&mut self, peer: &VoxelPixelCsr) {
+        reserve_to(&mut self.local, peer.local.capacity());
+        reserve_to(&mut self.stamp, peer.stamp.capacity());
+        reserve_to(&mut self.counts, peer.counts.capacity());
+        reserve_to(&mut self.off, peer.off.capacity());
+        reserve_to(&mut self.cursor, peer.cursor.capacity());
+        reserve_to(&mut self.pixels, peer.pixels.capacity());
+    }
+
     /// Group-local pixel indices whose rays intersect voxel `vid`.
     pub fn pixels_of(&self, vid: u32) -> &[u32] {
         debug_assert_eq!(
@@ -1961,6 +2055,13 @@ impl MaskScratch {
     /// A fresh mask scratch (span table built on first `prepare`).
     pub fn new() -> MaskScratch {
         MaskScratch::default()
+    }
+
+    /// Grows every buffer to at least `peer`'s capacity.
+    fn reserve_like(&mut self, peer: &MaskScratch) {
+        reserve_to(&mut self.span_off, peer.span_off.capacity());
+        reserve_to(&mut self.spans, peer.spans.capacity());
+        reserve_to(&mut self.words, peer.words.capacity());
     }
 
     /// Builds (or keeps) the span table for this group geometry and sizes
@@ -2081,6 +2182,14 @@ impl GroupBlender {
     #[inline]
     fn set_done(&mut self, pi: usize) {
         self.done_words[pi >> 6] |= 1 << (pi & 63);
+    }
+
+    /// Grows every buffer to at least `peer`'s capacity.
+    fn reserve_like(&mut self, peer: &GroupBlender) {
+        reserve_to(&mut self.color, peer.color.capacity());
+        reserve_to(&mut self.transmittance, peer.transmittance.capacity());
+        reserve_to(&mut self.done_words, peer.done_words.capacity());
+        reserve_to(&mut self.max_depth, peer.max_depth.capacity());
     }
 
     /// Re-initializes the blender for a group (buffers reused in place).

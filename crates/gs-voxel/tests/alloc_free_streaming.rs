@@ -178,8 +178,8 @@ fn warm_paged_coarse_fetches_perform_zero_allocations() {
 
 #[test]
 fn warm_two_thread_render_performs_zero_allocations() {
-    // Two explicit workers: every frame dispatches its group chunks
-    // through `WorkerPool::run_split` inside the measured window.
+    // Two explicit workers: every frame dispatches its groups through
+    // `WorkerPool::run_claimed` inside the measured window.
     let _alone = measure_alone();
     let scene = scene_from(|base| StreamingConfig { threads: 2, ..base });
     assert_eq!(
@@ -187,6 +187,27 @@ fn warm_two_thread_render_performs_zero_allocations() {
         0,
         "steady-state two-thread streaming render must not allocate"
     );
+}
+
+#[test]
+fn warm_cached_multi_executor_renders_perform_zero_allocations() {
+    // Groups are claimed dynamically, so which executor runs which group
+    // (and so whose scratch grows) changes every frame; the claim path,
+    // the per-group trace spans and the span-ordered cache replay all run
+    // inside the measured window.
+    let _alone = measure_alone();
+    for threads in [2, 3] {
+        let scene = scene_from(|base| StreamingConfig {
+            threads,
+            cache: Some(CacheConfig::default()),
+            ..base
+        });
+        assert_eq!(
+            allocs_over_warm_frames(&scene, 4),
+            0,
+            "steady-state cached {threads}-thread streaming render must not allocate"
+        );
+    }
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //!     changes a byte of output.
 //! (d) **Fail-fast mode** — with `degrade_on_fault` off, permanent faults
 //!     surface the globally-first failing group's error for any worker
-//!     count.
+//!     count, even when a far higher group fails too.
 //! (e) **Version-1 images** — still render identically, with checksum
 //!     verification flagged off in the effective `PageConfig`.
 //! (f) **File-backed faults** — the same transient-recovery contract
@@ -36,7 +36,9 @@
 // Tests may unwrap: a panic is exactly the right failure mode here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use gs_scene::{SceneConfig, SceneKind};
+use gs_core::camera::Camera;
+use gs_core::vec::Vec3;
+use gs_scene::{Gaussian, SceneConfig, SceneKind};
 use gs_voxel::{
     DegradationReport, FaultPolicy, PageConfig, StreamingConfig, StreamingOutput, StreamingScene,
 };
@@ -211,7 +213,9 @@ fn fail_fast_mode_surfaces_the_same_error_for_any_worker_count() {
         ..vq_config(scene.voxel_size, 1)
     };
     let mut reference: Option<String> = None;
-    for threads in [1usize, 2, 0] {
+    // 3 and 7 oversubscribe small hosts, so groups are claimed in a
+    // different interleaving on every run.
+    for threads in [1usize, 2, 3, 7, 0] {
         let mut faulty =
             StreamingScene::new(scene.trained.clone(), StreamingConfig { threads, ..cfg });
         faulty
@@ -225,6 +229,88 @@ fn fail_fast_mode_surfaces_the_same_error_for_any_worker_count() {
             None => reference = Some(err),
             Some(r) => assert_eq!(r, &err, "error diverged at threads={threads}"),
         }
+    }
+}
+
+/// Renders `cloud` through a store whose every page is permanently
+/// dead, with degradation off, and returns the frame's error message.
+fn fail_fast_error(cloud: &gs_scene::GaussianCloud, cam: &Camera, threads: usize) -> String {
+    let mut scene = StreamingScene::new(
+        cloud.clone(),
+        StreamingConfig {
+            voxel_size: 0.1,
+            group_size: 32,
+            degrade_on_fault: false,
+            threads,
+            ..Default::default()
+        },
+    );
+    let all_dead = FaultPolicy {
+        seed: 7,
+        permanent_per_mille: 1000,
+        ..FaultPolicy::default()
+    };
+    scene
+        .page_out_with_faults(page_config(), all_dead)
+        .expect("reopen with faults");
+    match scene.try_render(cam) {
+        Err(e) => e.to_string(),
+        Ok(_) => panic!("a visible dead page must fail the frame"),
+    }
+}
+
+#[test]
+fn fail_fast_returns_the_lowest_failing_group_for_any_worker_count() {
+    // Small clusters inside three of a 256×256 frame's 8×8 pixel groups:
+    // 9 and its neighbour 10, and 54 far below. Every page is dead, so
+    // exactly those groups fail. Group 10 is claimed while group 9 still
+    // runs, so it usually fails too; whatever fails above it, the frame
+    // must return group 9's error — the one the serial walk hits.
+    let cam = Camera::look_at(
+        Vec3::new(0.0, 0.0, -8.0),
+        Vec3::ZERO,
+        Vec3::Y,
+        256,
+        256,
+        0.9,
+    );
+    // The point of the z = 0 plane seen at pixel (x, y).
+    let at_pixel = |x: f32, y: f32| {
+        let ray = cam.pixel_ray(x, y);
+        ray.origin + ray.dir * (-ray.origin.z / ray.dir.z)
+    };
+    let centers = [
+        at_pixel(48.0, 48.0),
+        at_pixel(80.0, 48.0),
+        at_pixel(208.0, 208.0),
+    ];
+    let mut cloud = gs_scene::GaussianCloud::new();
+    for c in centers {
+        for i in 0..24 {
+            let jitter = Vec3::new((i % 3) as f32, (i / 3 % 3) as f32, (i / 9) as f32) * 0.02;
+            cloud.push(Gaussian::isotropic(c + jitter, 0.02, Vec3::ONE, 0.9));
+        }
+    }
+    // Each cluster's own error, from a camera that sees only it.
+    let alone: Vec<String> = centers
+        .iter()
+        .map(|&c| {
+            let eye = c - Vec3::new(0.0, 0.0, 4.0);
+            fail_fast_error(&cloud, &Camera::look_at(eye, c, Vec3::Y, 64, 64, 0.3), 1)
+        })
+        .collect();
+    assert!(
+        alone[0] != alone[1] && alone[0] != alone[2] && alone[1] != alone[2],
+        "the clusters must fail on different pages: {alone:?}"
+    );
+    let serial = fail_fast_error(&cloud, &cam, 1);
+    assert_eq!(serial, alone[0], "the serial walk must stop at group 9");
+    for threads in [2usize, 3, 7, 0] {
+        assert_eq!(
+            fail_fast_error(&cloud, &cam, threads),
+            serial,
+            "threads={threads} returned another group's error"
+        );
     }
 }
 
