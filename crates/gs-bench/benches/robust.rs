@@ -1,7 +1,7 @@
 //! Robustness bench: what fault tolerance costs when nothing faults, and
 //! what recovery delivers when something does (PR 6).
 //!
-//! Three gated numbers, one `ROBUST_JSON {...}` line for CI
+//! Four gated numbers, one `ROBUST_JSON {...}` line for CI
 //! (`BENCH_robust.json`):
 //!
 //! * **overhead_ok** — steady-state ms/frame on a demand-paged store with
@@ -10,6 +10,10 @@
 //!   frames isolate the residual cost of the fault-tolerant fetch path
 //!   (Result plumbing, fault snapshots); the gate is ≤ 5 % overhead.
 //!   Cold open+first-frame times are reported as context, not gated.
+//! * **churn_ok** — the same comparison on raw records under a 4-page
+//!   residency budget per column, so every frame evicts and re-faults its
+//!   pages and checksum verification runs at every page-in: what cold
+//!   verification costs. The gate is ≤ 1.5× the unverified frame.
 //! * **recovery_ok** — a 2 % seeded transient-fault policy on a paged+VQ
 //!   trajectory must render bit-identically to the fault-free frames
 //!   while the [`DegradationReport`] counts every injected fault as a
@@ -31,6 +35,9 @@ use std::time::Instant;
 
 /// Fault-free verified-vs-unverified steady-state overhead gate.
 const OVERHEAD_BAR: f64 = 1.05;
+
+/// Verified-vs-unverified gate when every frame re-faults its pages.
+const CHURN_BAR: f64 = 1.5;
 
 /// Milliseconds per call of `f`, measured over at least `min_calls` calls
 /// and 0.2 s.
@@ -113,6 +120,48 @@ fn main() {
     let overhead = warm_v2 / warm_v1;
     let overhead_ok = overhead <= OVERHEAD_BAR;
 
+    // --- Churn: v2 verified vs v1 unverified, pages re-faulted. --------
+    let churn_pages = PageConfig {
+        slots_per_page: 64,
+        max_resident_pages: 4,
+        ..PageConfig::default()
+    };
+    let raw = StreamingScene::new(
+        scene.trained.clone(),
+        StreamingConfig {
+            use_vq: false,
+            ..cfg
+        },
+    );
+    let mut churn_verified = raw.clone();
+    churn_verified.page_out(churn_pages);
+    let mut churn_unverified = raw;
+    churn_unverified.page_out_v1(churn_pages);
+    let verifies = |s: &StreamingScene| s.store().page_config().map(|c| c.verify_checksums);
+    assert!(
+        verifies(&churn_verified) == Some(true)
+            && verifies(&churn_unverified) == Some(false)
+            && !churn_verified.store().is_vq(),
+        "churn must compare verified against unverified raw stores"
+    );
+    let (mut churn_v2, mut churn_v1) = (f64::MAX, f64::MAX);
+    for _ in 0..5 {
+        churn_v2 = churn_v2.min(ms_of(10, || {
+            black_box(churn_verified.render(&cam));
+        }));
+        churn_v1 = churn_v1.min(ms_of(10, || {
+            black_box(churn_unverified.render(&cam));
+        }));
+    }
+    // The budget must make every frame page: far more faults than pages.
+    let churn_faults = churn_verified.store().page_faults();
+    assert!(
+        churn_faults > 10 * churn_verified.store().len() as u64 / 64,
+        "a 4-page budget must churn pages ({churn_faults} faults)"
+    );
+    let churn_overhead = churn_v2 / churn_v1;
+    let churn_ok = churn_overhead <= CHURN_BAR;
+
     // --- Recovery: transient faults must be invisible and counted. -----
     let clean_frames: Vec<_> = cams.iter().map(|c| verified.render(c)).collect();
     let mut faulty = resident.clone();
@@ -181,6 +230,14 @@ fn main() {
         format!("{overhead:.3}x (bar {OVERHEAD_BAR:.2}x)"),
     ]);
     table.row(&[
+        "churn v2 / v1 (ms/frame)".into(),
+        format!("{churn_v2:.3} / {churn_v1:.3}"),
+    ]);
+    table.row(&[
+        "churn overhead".into(),
+        format!("{churn_overhead:.3}x (bar {CHURN_BAR:.2}x)"),
+    ]);
+    table.row(&[
         "cold open+frame v2 / v1 (ms)".into(),
         format!("{cold_v2:.2} / {cold_v1:.2}"),
     ]);
@@ -200,12 +257,15 @@ fn main() {
     println!("{table}");
 
     println!(
-        "ROBUST_JSON {{\"bench\":\"robust\",\"cores\":{},\"scene\":\"{}\",\"warm_verified_ms\":{:.4},\"warm_unverified_ms\":{:.4},\"overhead\":{:.4},\"overhead_bar\":{OVERHEAD_BAR},\"cold_v2_ms\":{:.3},\"cold_v1_ms\":{:.3},\"recover_ms\":{:.4},\"retries\":{},\"injected\":{},\"pages_lost\":{},\"degraded_voxels\":{},\"overhead_ok\":{},\"recovery_ok\":{},\"survive_ok\":{}}}",
+        "ROBUST_JSON {{\"bench\":\"robust\",\"cores\":{},\"scene\":\"{}\",\"warm_verified_ms\":{:.4},\"warm_unverified_ms\":{:.4},\"overhead\":{:.4},\"overhead_bar\":{OVERHEAD_BAR},\"churn_verified_ms\":{:.4},\"churn_unverified_ms\":{:.4},\"churn_overhead\":{:.4},\"churn_bar\":{CHURN_BAR},\"cold_v2_ms\":{:.3},\"cold_v1_ms\":{:.3},\"recover_ms\":{:.4},\"retries\":{},\"injected\":{},\"pages_lost\":{},\"degraded_voxels\":{},\"overhead_ok\":{},\"churn_ok\":{},\"recovery_ok\":{},\"survive_ok\":{}}}",
         gs_bench::setup::cores(),
         SceneKind::Truck.name(),
         warm_v2,
         warm_v1,
         overhead,
+        churn_v2,
+        churn_v1,
+        churn_overhead,
         cold_v2,
         cold_v1,
         recover_ms,
@@ -214,6 +274,7 @@ fn main() {
         pages_lost,
         degraded,
         overhead_ok,
+        churn_ok,
         recovery_ok,
         survive_ok
     );

@@ -26,7 +26,12 @@
 //! * [`energy::EnergyBreakdown`] — compute/SRAM/DRAM picojoule totals,
 //! * [`crc::crc32`] — CRC-32/IEEE for scene-image integrity: the paged
 //!   voxel store checksums its serialized column payloads per chunk and
-//!   verifies them on page materialization (PR 6).
+//!   verifies them on page materialization. The kernel is a safe
+//!   slicing-by-16 loop (16 bytes per step over `const`-built tables),
+//!   and [`crc::crc32_chunks`] checksums every fixed-length chunk of a
+//!   buffer in one call, four chunks at a time as interleaved streams —
+//!   how a page fill verifies its whole chunk cover and how the image
+//!   writer builds its chunk tables.
 //!
 //! ## Example
 //!

@@ -35,6 +35,11 @@
 //!   record never spans pages and the store's slot ranges remain the
 //!   natural fetch granularity. The index metadata (ranges, ids, max-axis
 //!   tags, codebooks) stays resident — it is the VSU's on-chip state.
+//!   Pages live in recycled `Vec<u8>` frames: a fill reads and verifies
+//!   in place in a frame taken from the column's spare list, a successful
+//!   fill only then evicts the least-recently-used page, and evicted or
+//!   failed frames go back on the list. A bounded column therefore holds
+//!   at most budget + 1 frames and pages without allocating once warm.
 //!
 //! The two backings are **bit-exact twins**: every fetch decodes the same
 //! bytes, meters the same ledger demand, and returns the same Gaussian, so
@@ -124,7 +129,7 @@
 
 use crate::grid::VoxelGrid;
 use gs_core::vec::Vec3;
-use gs_mem::crc::crc32;
+use gs_mem::crc::{crc32, crc32_chunks};
 use gs_mem::{Direction, Stage, TrafficLedger, MAX_TIERS};
 use gs_scene::gaussian::{COARSE_BYTES, FINE_BYTES_RAW};
 use gs_scene::{Gaussian, GaussianCloud};
@@ -298,7 +303,9 @@ pub struct PageConfig {
     /// Whole slots per page (page boundaries never split a record).
     pub slots_per_page: u32,
     /// Residency budget in pages per column; least-recently-used pages are
-    /// evicted beyond it. `0` = unbounded (pages accumulate).
+    /// evicted beyond it (after the replacement page filled cleanly), and
+    /// their frames are reused by later fills. `0` = unbounded (pages
+    /// accumulate).
     pub max_resident_pages: u32,
     /// Verify per-chunk CRCs on page materialization. Forced `false` when
     /// the image carries no checksum tables (a version-1 image); the
@@ -580,8 +587,9 @@ struct ColumnCrc {
 /// Mutable state of one paged column.
 #[derive(Debug, Default)]
 struct PageState {
-    /// Materialized pages (whole slots each; the tail page may be short).
-    pages: Vec<Option<Box<[u8]>>>,
+    /// Installed page frames (whole slots each; the tail page may be
+    /// short).
+    pages: Vec<Option<Vec<u8>>>,
     /// LRU stamp per page.
     stamp: Vec<u64>,
     /// Indices of the resident pages (≤ budget entries when bounded), so
@@ -597,9 +605,11 @@ struct PageState {
     retries: u64,
     /// Dead pages re-fetched and healed from the attached replica.
     healed: u64,
-    /// Reusable chunk-cover staging for checksum verification, so warm
-    /// verified fills allocate nothing once grown.
-    verify: Vec<u8>,
+    /// Recycled page frames: evicted frames and frames of failed fills
+    /// land here and the next fill reuses them, so a warm bounded column
+    /// allocates nothing. A bounded column holds at most budget + 1
+    /// frames (the residents plus the one being filled).
+    spare: Vec<Vec<u8>>,
 }
 
 /// Why one fill attempt of a page failed (internal to the retry loop).
@@ -726,33 +736,22 @@ impl PagedColumn {
         Ok(())
     }
 
-    /// Materializes `page` if absent: evicts the least-recently-used
-    /// resident page when a budget is set (an O(budget) scan of the
-    /// resident list; stamps are unique, so the victim is deterministic),
-    /// then fills the page with up to [`PageConfig::max_read_attempts`]
-    /// verified reads. Permanent faults mark the page dead; with a
-    /// replica attached, a dead page is re-fetched (and CRC-re-verified)
-    /// from it instead of failing fast — healing is counted, never
-    /// rendered: replica bytes are validated identical to the primary's
-    /// metadata, so a healed page holds the exact fault-free bytes.
+    /// Materializes `page` if absent. The page is filled into a recycled
+    /// frame (popped from the spare list) with up to
+    /// [`PageConfig::max_read_attempts`] verified reads; only a successful
+    /// fill evicts the least-recently-used resident page when a budget is
+    /// set (an O(budget) scan of the resident list; stamps are unique, so
+    /// the victim is deterministic), so a failed fill never costs a good
+    /// resident page. Evicted and failed frames return to the spare list.
     fn ensure_page(&self, st: &mut PageState, page: usize) -> Result<(), StoreError> {
         if st.pages[page].is_some() {
             return Ok(());
         }
-        let lost = || StoreError::PageLost {
-            column: self.kind,
-            page: page as u64,
-        };
-        // A dead page only ever retries against an attached replica: one
-        // clean verified fill heals it, anything else keeps it dead.
-        let heal_from: Option<Arc<PageSource>> = if st.dead[page] {
-            match lock_unpoisoned(&self.replica).clone() {
-                Some(r) => Some(r),
-                None => return Err(lost()),
-            }
-        } else {
-            None
-        };
+        let mut frame = st.spare.pop().unwrap_or_default();
+        if let Err(e) = self.fill_frame(st, &mut frame, page) {
+            st.spare.push(frame);
+            return Err(e);
+        }
         let budget = self.config.max_resident_pages as usize;
         if budget > 0 && st.resident_ids.len() >= budget {
             let mut at = 0usize;
@@ -762,55 +761,64 @@ impl PagedColumn {
                 }
             }
             let victim = st.resident_ids.swap_remove(at);
-            st.pages[victim] = None;
+            if let Some(old) = st.pages[victim].take() {
+                st.spare.push(old);
+            }
         }
+        st.pages[page] = Some(frame);
+        st.resident_ids.push(page);
+        st.faults += 1;
+        Ok(())
+    }
+
+    /// Fills `frame` with `page`'s bytes. Permanent faults mark the page
+    /// dead; with a replica attached, a dead page is re-fetched (and
+    /// CRC-re-verified) from it instead of failing fast — healing is
+    /// counted, never rendered: replica bytes are validated identical to
+    /// the primary's metadata, so a healed page holds the exact fault-free
+    /// bytes.
+    fn fill_frame(
+        &self,
+        st: &mut PageState,
+        frame: &mut Vec<u8>,
+        page: usize,
+    ) -> Result<(), StoreError> {
+        let lost = || StoreError::PageLost {
+            column: self.kind,
+            page: page as u64,
+        };
         let spp = self.config.slots_per_page as usize;
         let first_slot = page * spp;
         let n_slots = spp.min(self.slots - first_slot);
-        let mut bytes = vec![0u8; n_slots * self.record_bytes].into_boxed_slice();
-        if let Some(replica) = heal_from {
-            // Healing path: a single verified fill from the replica (no
-            // retry loop — the replica is the last resort; its fill is
-            // clean and CRC-checked, or the page stays dead).
-            let healed = self
-                .fill_page(&replica, &mut st.verify, &mut bytes, first_slot, n_slots, 0)
-                .is_ok();
-            if !healed {
-                return Err(lost());
-            }
+        // A dead page only ever retries against an attached replica: one
+        // clean verified fill heals it, anything else keeps it dead. (No
+        // retry loop — the replica is the last resort.)
+        if st.dead[page] {
+            let replica = lock_unpoisoned(&self.replica).clone().ok_or_else(lost)?;
+            self.fill_page(&replica, frame, first_slot, n_slots, 0)
+                .map_err(|_| lost())?;
             st.dead[page] = false;
             st.healed += 1;
-            st.pages[page] = Some(bytes);
-            st.resident_ids.push(page);
-            st.faults += 1;
             return Ok(());
         }
         let max_attempts = self.config.max_read_attempts.max(1);
         let mut attempt = 0u32;
         loop {
-            match self.fill_page(
-                &self.source,
-                &mut st.verify,
-                &mut bytes,
-                first_slot,
-                n_slots,
-                attempt,
-            ) {
-                Ok(()) => break,
+            match self.fill_page(&self.source, frame, first_slot, n_slots, attempt) {
+                Ok(()) => return Ok(()),
                 Err(FillError::Permanent) => {
                     st.dead[page] = true;
                     // With a replica attached, heal the freshly-dead page
                     // inline: the frame sees a healed page, not a lost one.
-                    let healed = lock_unpoisoned(&self.replica).clone().is_some_and(|r| {
-                        self.fill_page(&r, &mut st.verify, &mut bytes, first_slot, n_slots, 0)
-                            .is_ok()
-                    });
+                    let healed = lock_unpoisoned(&self.replica)
+                        .clone()
+                        .is_some_and(|r| self.fill_page(&r, frame, first_slot, n_slots, 0).is_ok());
                     if !healed {
                         return Err(lost());
                     }
                     st.dead[page] = false;
                     st.healed += 1;
-                    break;
+                    return Ok(());
                 }
                 Err(cause) => {
                     st.retries += 1;
@@ -827,42 +835,39 @@ impl PagedColumn {
                                 chunk,
                             },
                             FillError::Io(e) => StoreError::Io(e),
-                            FillError::Permanent => StoreError::PageLost {
-                                column: self.kind,
-                                page: page as u64,
-                            },
+                            FillError::Permanent => lost(),
                         });
                     }
                     retry_backoff(attempt);
                 }
             }
         }
-        st.pages[page] = Some(bytes);
-        st.resident_ids.push(page);
-        st.faults += 1;
-        Ok(())
     }
 
     /// One fill attempt from `source` (the primary, or the attached
-    /// replica when healing). With checksums on, reads the chunk-aligned
-    /// cover of the page's slots into `verify`, checks every covered
-    /// chunk's CRC, and copies the page's window out; otherwise reads the
-    /// page directly.
+    /// replica when healing) into `frame`, which ends up exactly the
+    /// page's bytes long. With checksums on, reads the chunk-aligned cover
+    /// of the page's slots straight into the frame, checks every covered
+    /// chunk's CRC in one [`crc32_chunks`] pass (reporting the lowest
+    /// mismatching chunk), then shifts the page's window to the front —
+    /// a no-op whenever pages are chunk-aligned, as in every default
+    /// geometry. Otherwise reads the page directly.
     fn fill_page(
         &self,
         source: &PageSource,
-        verify: &mut Vec<u8>,
-        out: &mut [u8],
+        frame: &mut Vec<u8>,
         first_slot: usize,
         n_slots: usize,
         attempt: u32,
     ) -> Result<(), FillError> {
         let rb = self.record_bytes;
+        let page_len = n_slots * rb;
         let crc = match &self.crc {
             Some(crc) if self.config.verify_checksums => crc,
             _ => {
+                frame.resize(page_len, 0);
                 return source
-                    .read_page(self.offset + (first_slot * rb) as u64, out, attempt)
+                    .read_page(self.offset + (first_slot * rb) as u64, frame, attempt)
                     .map_err(FillError::from);
             }
         };
@@ -871,21 +876,25 @@ impl PagedColumn {
         let c1 = (first_slot + n_slots).div_ceil(cs).min(crc.chunks.len());
         let cover_first = c0 * cs;
         let cover_last = (c1 * cs).min(self.slots);
-        verify.clear();
-        verify.resize((cover_last - cover_first) * rb, 0);
+        frame.resize((cover_last - cover_first) * rb, 0);
         source
-            .read_page(self.offset + (cover_first * rb) as u64, verify, attempt)
+            .read_page(self.offset + (cover_first * rb) as u64, frame, attempt)
             .map_err(FillError::from)?;
-        for c in c0..c1 {
-            let s0 = c * cs;
-            let s1 = ((c + 1) * cs).min(self.slots);
-            let window = &verify[(s0 - cover_first) * rb..(s1 - cover_first) * rb];
-            if crc32(window) != crc.chunks[c] {
-                return Err(FillError::Corrupt(c as u64));
+        let expected = &crc.chunks[c0..c1];
+        let mut corrupt = None;
+        // Chunks arrive in ascending order: the first mismatch is the
+        // lowest.
+        crc32_chunks(frame, (cs * rb).max(1), |i, got| {
+            if corrupt.is_none() && expected.get(i) != Some(&got) {
+                corrupt = Some(c0 + i);
             }
+        });
+        if let Some(c) = corrupt {
+            return Err(FillError::Corrupt(c as u64));
         }
         let from = (first_slot - cover_first) * rb;
-        out.copy_from_slice(&verify[from..from + n_slots * rb]);
+        frame.copy_within(from..from + page_len, 0);
+        frame.truncate(page_len);
         Ok(())
     }
 
@@ -1896,12 +1905,12 @@ impl VoxelStore {
             tier_cols.push(col);
         }
         if version >= SCENE_VERSION {
-            // Chunks are slot-aligned, so `chunks()` over the raw column
-            // yields exactly ceil(n_slots / CRC_CHUNK_SLOTS) windows.
+            // Chunks are slot-aligned, so chunking the raw column yields
+            // exactly ceil(n_slots / CRC_CHUNK_SLOTS) windows.
             for (col, rb) in [(&coarse_col, COARSE_BYTES), (&fine_col, width)] {
-                for chunk in col.chunks((CRC_CHUNK_SLOTS as usize * rb).max(1)) {
-                    out.extend_from_slice(&crc32(chunk).to_le_bytes());
-                }
+                crc32_chunks(col, (CRC_CHUNK_SLOTS as usize * rb).max(1), |_, crc| {
+                    out.extend_from_slice(&crc.to_le_bytes());
+                });
             }
             // v3 tier directory: per tier, a six-word descriptor, the
             // tier-slot tables, the tier codebooks (VQ images), then the
@@ -1932,9 +1941,10 @@ impl VoxelStore {
                 if let TierCodec::Vq(cb) = &t.codec {
                     write_codebooks(cb, &mut out);
                 }
-                for chunk in col.chunks((CRC_CHUNK_SLOTS as usize * t.record_bytes).max(1)) {
-                    out.extend_from_slice(&crc32(chunk).to_le_bytes());
-                }
+                let chunk_len = (CRC_CHUNK_SLOTS as usize * t.record_bytes).max(1);
+                crc32_chunks(col, chunk_len, |_, crc| {
+                    out.extend_from_slice(&crc.to_le_bytes())
+                });
             }
             let meta = crc32(&out);
             out.extend_from_slice(&meta.to_le_bytes());

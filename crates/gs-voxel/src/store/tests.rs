@@ -314,6 +314,104 @@ fn permanent_faults_mark_pages_dead_and_stay_dead() {
     assert_eq!(paged.fault_snapshot().injected, before);
 }
 
+/// The installed pages of a paged column, ascending.
+fn installed_pages(column: &Column) -> Vec<usize> {
+    match column {
+        Column::Paged(p) => {
+            let st = lock_unpoisoned(&p.state);
+            (0..st.pages.len())
+                .filter(|&i| st.pages[i].is_some())
+                .collect()
+        }
+        Column::Resident(_) => Vec::new(),
+    }
+}
+
+#[test]
+fn failed_fill_never_evicts_a_resident_page() {
+    let (cloud, grid) = scene_cloud();
+    let store = VoxelStore::from_cloud(&cloud, &grid);
+    let budget = 2usize;
+    let paged = store
+        .paged_twin_with_faults(
+            PageConfig {
+                slots_per_page: 4,
+                max_resident_pages: budget as u32,
+                ..PageConfig::default()
+            },
+            FaultPolicy {
+                seed: 7,
+                permanent_per_mille: 300,
+                ..FaultPolicy::default()
+            },
+        )
+        .expect("open with faults");
+    // `try_coarse_of` reads the coarse column alone.
+    let mut checked = 0;
+    for slot in 0..paged.len() as u32 {
+        let pages = installed_pages(&paged.coarse);
+        let bytes = paged.resident_column_bytes();
+        match paged.try_coarse_of(slot) {
+            Ok(_) => {}
+            Err(StoreError::PageLost { .. }) => {
+                // A lost page leaves the resident set exactly as it was.
+                assert_eq!(installed_pages(&paged.coarse), pages, "slot {slot}");
+                assert_eq!(paged.resident_column_bytes(), bytes, "slot {slot}");
+                if pages.len() == budget {
+                    checked += 1;
+                }
+            }
+            Err(other) => panic!("unexpected error: {other}"),
+        }
+    }
+    assert!(checked > 0, "no permanent fault hit a full resident set");
+}
+
+#[test]
+fn corrupt_page_reports_its_lowest_bad_chunk() {
+    let (cloud, grid) = scene_cloud();
+    let store = VoxelStore::from_cloud(&cloud, &grid);
+    let n = store.len();
+    let cs = CRC_CHUNK_SLOTS as usize;
+    // Six chunks per page: one interleaved group of four plus a remainder
+    // of two. Page 1 covers chunks 6..12.
+    let spp = 6 * cs;
+    assert!(n >= 2 * spp, "scene too small: {n} slots");
+    let image = store.to_scene_bytes();
+    let fine_off = image.len() - n * FINE_BYTES_RAW;
+    let chunk_byte = |chunk: usize| fine_off + (chunk * cs + 3) * FINE_BYTES_RAW + 17;
+    let open = |bad: &[usize]| {
+        let mut evil = image.clone();
+        for &c in bad {
+            evil[chunk_byte(c)] ^= 0x10;
+        }
+        VoxelStore::open_paged_bytes(
+            evil,
+            PageConfig {
+                slots_per_page: spp as u32,
+                ..PageConfig::default()
+            },
+        )
+        .expect("column corruption is detected at fetch, not open")
+    };
+    let mut l = TrafficLedger::new();
+    for (bad, page, want) in [
+        (&[1usize, 5][..], 0usize, 1u64),
+        (&[5][..], 0, 5),
+        (&[7, 11][..], 1, 7),
+        (&[11][..], 1, 11),
+    ] {
+        let paged = open(bad);
+        match paged.try_fetch_fine((page * spp) as u32, &mut l) {
+            Err(StoreError::CorruptPage { column, chunk }) => {
+                assert_eq!(column, ColumnKind::Fine);
+                assert_eq!(chunk, want, "corrupt chunks {bad:?}");
+            }
+            other => panic!("corrupt chunks {bad:?}: expected CorruptPage, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn scene_file_round_trips_on_disk() {
     let (cloud, grid) = scene_cloud();

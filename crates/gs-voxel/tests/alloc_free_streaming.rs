@@ -7,7 +7,9 @@
 //! must perform **zero** heap allocations — resident store, cache on or
 //! off. Paged stores are covered too: after the page set and the staging
 //! buffer pool warmed up, paged coarse fetches (and whole paged frames)
-//! allocate nothing either.
+//! allocate nothing either — and neither does a bounded page budget that
+//! evicts and re-faults pages every frame, because page frames are
+//! recycled.
 //!
 //! The counting allocator is process-global, so this lives in its own
 //! integration-test binary, and every test holds [`MEASURE`] for its whole
@@ -135,6 +137,45 @@ fn warm_paged_render_performs_zero_allocations() {
         0,
         "steady-state paged streaming render must not allocate"
     );
+}
+
+/// Renders warm frames over a Truck store paged out with a 4-page budget
+/// per column, so every frame evicts and re-faults pages, and checks the
+/// churn happened and allocated nothing.
+fn assert_bounded_paging_is_allocation_free(threads: usize) {
+    let mut scene = scene_from(|base| StreamingConfig { threads, ..base });
+    scene.page_out(PageConfig {
+        slots_per_page: 64,
+        max_resident_pages: 4,
+        verify_checksums: true,
+        ..PageConfig::default()
+    });
+    let faults_before = scene.store().page_faults();
+    let allocs = allocs_over_warm_frames(&scene, 4);
+    // Warm-up frames fault too, so at least the measured frames churned.
+    assert!(
+        scene.store().page_faults() > faults_before + 100,
+        "the budget must force page churn"
+    );
+    assert_eq!(
+        allocs, 0,
+        "steady-state bounded paging must not allocate ({threads} threads): \
+         page frames are recycled"
+    );
+}
+
+#[test]
+fn warm_bounded_paged_render_performs_zero_allocations() {
+    // Evicted page frames return to a per-column spare list and the next
+    // fill reads into one in place, so churning pages allocates nothing.
+    let _alone = measure_alone();
+    assert_bounded_paging_is_allocation_free(1);
+}
+
+#[test]
+fn warm_bounded_paged_two_thread_render_performs_zero_allocations() {
+    let _alone = measure_alone();
+    assert_bounded_paging_is_allocation_free(2);
 }
 
 #[test]
